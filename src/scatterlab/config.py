@@ -1,6 +1,6 @@
 """
 Plain-text experiment configuration: one `section.key = value` per line,
-`#` comments.  Exact key set; unknown keys are a hard error.
+`#` comments.  Exact key set; unknown or repeated keys are a hard error.
 """
 
 from __future__ import annotations
@@ -95,6 +95,7 @@ def _parse_bool(raw: str, key: str) -> bool:
 def parse_config(path) -> ExperimentConfig:
     text = Path(path).read_text()
     values: dict[str, object] = dict(_DEFAULTS)
+    first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -104,6 +105,11 @@ def parse_config(path) -> ExperimentConfig:
         key, raw = (part.strip() for part in stripped.split("=", 1))
         if key not in _SPEC:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
+        if key in first_line:
+            raise ConfigError(
+                f"line {lineno}: duplicate config key {key!r} (first set on line {first_line[key]})"
+            )
+        first_line[key] = lineno
         kind = _SPEC[key]
         try:
             if kind is bool:

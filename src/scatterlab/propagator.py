@@ -6,6 +6,8 @@ remainder split of the dispersive decay estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -74,21 +76,48 @@ def _unit_phase(scale: np.longdouble, index: np.ndarray) -> np.ndarray:
     return np.exp(1j * angle.astype(np.float64))
 
 
+class _BluesteinPlan(NamedTuple):
+    """Everything of a chirp transform that depends only on the ray geometry,
+    with theta = dx * dxi; the arrays are read-only because one plan serves
+    every caller."""
+
+    kernel_hat: np.ndarray  # FFT of the chirp e^{i theta s^2 / 2}, s = 1-n .. m-1
+    shift: np.ndarray  # e^{-i dx xi0 j}
+    chirp: np.ndarray  # e^{-i theta j^2 / 2}
+    out_phase: np.ndarray  # e^{-i x0 xi_k} e^{-i theta k^2 / 2}
+
+
+@lru_cache(maxsize=1)
+def _bluestein_plan(n: int, x0: float, dx: float, xi0: float, dxi: float, m: int) -> _BluesteinPlan:
+    """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi.
+    One geometry is held: the ray analysis evaluates every spectrum of a
+    snapshot time on the same targets before it moves to the next time."""
+    theta = np.longdouble(dx) * np.longdouble(dxi)
+    span = np.arange(-(n - 1), m)
+    kernel_hat = fft(_unit_phase(theta / 2, span * span), next_fast_len(n + span.size - 1))
+    j = np.arange(n)
+    k = np.arange(m)
+    ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), k) * np.exp(-1j * x0 * xi0)
+    plan = _BluesteinPlan(
+        kernel_hat=kernel_hat,
+        shift=_unit_phase(-np.longdouble(dx) * np.longdouble(xi0), j),
+        chirp=_unit_phase(-theta / 2, j * j),
+        out_phase=ray * _unit_phase(-theta / 2, k * k),
+    )
+    for arr in plan:
+        arr.flags.writeable = False
+    return plan
+
+
 def _bluestein(samples: np.ndarray, x0: float, dx: float, xi0: float, dxi: float, m: int) -> np.ndarray:
     """Chirp-transform evaluation of sum_j samples_j e^{-i x_j xi_k} on the
     uniform targets xi_k = xi0 + k*dxi; O((N+m) log(N+m))."""
     n = samples.size
-    theta = np.longdouble(dx) * np.longdouble(dxi)
-    j = np.arange(n)
-    k = np.arange(m)
-    b = samples * _unit_phase(-np.longdouble(dx) * np.longdouble(xi0), j)
-    p = b * _unit_phase(-theta / 2, j * j)
-    span = np.arange(-(n - 1), m)
-    q = _unit_phase(theta / 2, span * span)
-    size = next_fast_len(n + span.size - 1)
-    conv = ifft(fft(p, size) * fft(q, size))[n - 1 : n - 1 + m]
-    ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), k) * np.exp(-1j * x0 * xi0)
-    return ray * _unit_phase(-theta / 2, k * k) * conv
+    plan = _bluestein_plan(n, x0, dx, xi0, dxi, m)
+    # in place, so that holding the plan does not raise a call's peak memory
+    conv = fft(samples * plan.shift * plan.chirp, plan.kernel_hat.size)
+    conv *= plan.kernel_hat
+    return plan.out_phase * ifft(conv, overwrite_x=True)[n - 1 : n - 1 + m]
 
 
 def spectrum_at(field: ComplexField, targets: np.ndarray, method: str = "auto") -> np.ndarray:

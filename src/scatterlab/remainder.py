@@ -138,14 +138,6 @@ class RemainderDecayReport:
     vacuous: bool
 
 
-def remainder_series(traj) -> list[tuple[float, ComplexField]]:
-    out = []
-    for state in traj.snapshots:
-        f_hat, g_hat = profile_spectra(state)
-        out.append((state.t, remainder_physical(TrilinearInput(f_hat, g_hat, state.t))))
-    return out
-
-
 def remainder_decay_fit(traj) -> RemainderDecayReport:
     """
     Fit the decay exponent of sup_xi |R(s)| along a trajectory and report the

@@ -7,7 +7,7 @@ by the weighted estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -360,14 +360,7 @@ class TrajectoryAnalysis:
 
 
 def _with_gamma(est: ScatteringEstimate, gamma_limit: np.ndarray) -> ScatteringEstimate:
-    return ScatteringEstimate(
-        W=est.W,
-        gamma_limit=gamma_limit,
-        fit_linf=est.fit_linf,
-        fit_h0n=est.fit_h0n,
-        cauchy=est.cauchy,
-        window=est.window,
-    )
+    return replace(est, gamma_limit=gamma_limit)
 
 
 def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> TrajectoryAnalysis:

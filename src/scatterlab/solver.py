@@ -11,6 +11,7 @@ pure roundoff.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -137,31 +138,27 @@ def _run_segment(u: np.ndarray, v: np.ndarray, grid: Grid1D, t0: float, t1: floa
     steps = [dt] * n_full + ([rest] if rest > 0.0 else [])
     if not steps:
         return u, v
-    half_cache: dict[float, np.ndarray] = {}
 
+    @cache
     def half(h: float) -> np.ndarray:
-        m = half_cache.get(h)
-        if m is None:
-            m = _half_multiplier(grid, h)
-            half_cache[h] = m
-        return m
+        return _half_multiplier(grid, h)
 
-    prev_half = None
+    @cache
+    def fused(prev: float, h: float) -> np.ndarray:
+        return half(prev) * half(h)
+
+    prev = None
     for h in steps:
-        if prev_half is None:
-            u = np.fft.ifft(np.fft.fft(u) * half(h))
-            v = np.fft.ifft(np.fft.fft(v) * half(h))
-        else:
-            fused = prev_half * half(h)
-            u = np.fft.ifft(np.fft.fft(u) * fused)
-            v = np.fft.ifft(np.fft.fft(v) * fused)
+        mult = half(h) if prev is None else fused(prev, h)
+        u = np.fft.ifft(np.fft.fft(u) * mult)
+        v = np.fft.ifft(np.fft.fft(v) * mult)
         mu = np.abs(u) ** 2
         mv = np.abs(v) ** 2
         u = u * np.exp(-1j * h * mv)
         v = v * np.exp(-1j * h * mu)
-        prev_half = half(h)
-    u = np.fft.ifft(np.fft.fft(u) * prev_half)
-    v = np.fft.ifft(np.fft.fft(v) * prev_half)
+        prev = h
+    u = np.fft.ifft(np.fft.fft(u) * half(prev))
+    v = np.fft.ifft(np.fft.fft(v) * half(prev))
     return u, v
 
 

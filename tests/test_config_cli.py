@@ -50,6 +50,16 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="grid.N"):
             sl.parse_config(path)
 
+    def test_duplicate_key_names_both_lines(self, tmp_path):
+        text = GOOD_CONFIG + "solver.dt = 0.01\n"
+        lines = text.splitlines()
+        first = lines.index("solver.dt = 0.02") + 1
+        with pytest.raises(ConfigError) as err:
+            sl.parse_config(write_config(tmp_path, text))
+        assert str(err.value) == (
+            f"line {len(lines)}: duplicate config key 'solver.dt' (first set on line {first})"
+        )
+
     def test_bad_shape(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG.replace("gaussian", "square"))
         with pytest.raises(ConfigError, match="data.shape"):
@@ -92,6 +102,12 @@ class TestCli:
         rc = main(["decay", "--config", str(path), "--outdir", str(tmp_path / "out")])
         assert rc == 2
         assert "mystery.key" in capsys.readouterr().err
+
+    def test_duplicate_key_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, GOOD_CONFIG + "grid.N = 2048\n")
+        rc = main(["decay", "--config", str(path), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "duplicate config key 'grid.N'" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["decay", "--config", str(tmp_path / "nope.cfg")])

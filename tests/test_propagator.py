@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.propagator import FrequencyRangeError
+from scatterlab.propagator import FrequencyRangeError, _bluestein_plan
 
 
 def gaussian(grid, a=1.0):
@@ -126,6 +126,39 @@ class TestSpectrumAt:
             [grid.dx / np.sqrt(2 * np.pi) * np.sum(f.samples * np.exp(-1j * grid.x * q)) for q in targets]
         )
         assert np.max(np.abs(vals - ref)) < 1e-13
+
+
+class TestBluesteinPlan:
+    def test_interleaved_geometries_and_fields(self):
+        grid = sl.Grid1D(L=50.0, N=1024)
+        fields = [smooth_random(grid, 9), smooth_random(grid, 10)]
+        _bluestein_plan.cache_clear()
+        results = []
+        for t in (1.0, 3.0, 1.0):
+            targets = grid.x / (2.0 * t)
+            for f in fields:
+                vals = sl.spectrum_at(f, targets, method="czt")
+                ref = sl.spectrum_at(f, targets, method="direct")
+                assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
+                results.append(vals)
+        # first and third geometry agree bit for bit; each field reused its plan
+        assert all(np.array_equal(a, b) for a, b in zip(results[:2], results[4:]))
+        info = _bluestein_plan.cache_info()
+        assert (info.hits, info.misses) == (3, 3)
+
+    def test_plan_arrays_read_only(self):
+        plan = _bluestein_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
+        for arr in plan:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+
+    def test_cache_holds_one_geometry(self):
+        _bluestein_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
+        _bluestein_plan(64, -3.2, 0.1, -1.0, 0.05, 40)
+        info = _bluestein_plan.cache_info()
+        assert info.maxsize == 1
+        assert info.currsize == 1
 
 
 class TestLeadingSplit:
