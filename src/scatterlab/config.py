@@ -1,10 +1,13 @@
 """
 Plain-text experiment configuration: one `section.key = value` per line,
-`#` comments.  Exact key set; unknown or repeated keys are a hard error.
+`#` comments (at the start of a line or after whitespace, so a value such as
+`runs/#3` keeps its `#`).  Exact key set; unknown or repeated keys are a hard
+error.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -15,6 +18,8 @@ from .spectral import AnalysisParams, Grid1D, norm_Linf
 DT_SAFETY = 1e-3
 
 DATA_SHAPES = ("gaussian", "sech", "modulated")
+
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 class ConfigError(ValueError):
@@ -97,7 +102,7 @@ def parse_config(path) -> ExperimentConfig:
     values: dict[str, object] = dict(_DEFAULTS)
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
+        stripped = _COMMENT.sub("", line, count=1).strip()
         if not stripped:
             continue
         if "=" not in stripped:

@@ -8,6 +8,7 @@ by the weighted estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .spectral import (
     SPECTRAL,
     ComplexField,
     Grid1D,
+    fourier_inverse,
     norm_H0n,
     norm_L1,
     norm_L2,
@@ -91,21 +93,23 @@ def accumulate_phase(traj: Trajectory) -> tuple[PhaseAccumulator, PhaseAccumulat
     (driving the correction applied to fhat).  The free group is unimodular,
     so |fhat| = |uhat| and |ghat| = |vhat| pointwise.
     """
+    return _accumulate(traj, [profile_spectra(state) for state in traj.snapshots])
+
+
+def _accumulate(traj: Trajectory, spectra: list) -> tuple[PhaseAccumulator, PhaseAccumulator]:
+    """accumulate_phase from the snapshots' profile spectra (fhat, ghat); one
+    component's squared moduli are held at a time."""
     if len(traj.snapshots) < 2:
         raise ValueError("phase accumulation needs at least 2 snapshots")
     times = traj.times
     if np.any(np.diff(times) <= 0):
         raise ValueError("snapshot times must be strictly increasing")
-    sq_u = np.empty((len(times), traj.grid.N))
-    sq_v = np.empty_like(sq_u)
-    for m, state in enumerate(traj.snapshots):
-        f_hat, g_hat = profile_spectra(state)
-        sq_u[m] = np.abs(f_hat.samples) ** 2
-        sq_v[m] = np.abs(g_hat.samples) ** 2
-
+    sq = np.empty((len(times), traj.grid.N))
     err = 0.0
     vals = []
-    for sq in (sq_u, sq_v):
+    for side in (0, 1):
+        for m, pair in enumerate(spectra):
+            sq[m] = np.abs(pair[side].samples) ** 2
         full = _log_trapezoid_rows(times, sq)
         vals.append(full)
         if len(times) >= 5:
@@ -131,13 +135,16 @@ def corrected_spectra(traj: Trajectory):
     """
     Per-snapshot phase-corrected spectra for both components:
     w_f = fhat * B(vhat), w_g = ghat * B(uhat).  Returns (series_f, series_g,
-    acc_u, acc_v) with each series a list of (t, ComplexField).
+    acc_u, acc_v) with each series a list of (t, ComplexField).  Each
+    snapshot's profile spectra are computed once and feed both the phase
+    accumulation and the correction.
     """
-    acc_u, acc_v = accumulate_phase(traj)
+    spectra = [profile_spectra(state) for state in traj.snapshots]
+    acc_u, acc_v = _accumulate(traj, spectra)
     series_f = []
     series_g = []
     for state in traj.snapshots:
-        f_hat, g_hat = profile_spectra(state)
+        f_hat, g_hat = spectra.pop(0)  # never hold both whole series at once
         series_f.append((state.t, apply_phase_correction(f_hat, acc_v, state.t)))
         series_g.append((state.t, apply_phase_correction(g_hat, acc_u, state.t)))
     return series_f, series_g, acc_u, acc_v
@@ -182,6 +189,16 @@ class ScatteringEstimate:
     fit_h0n: RateFit | None
     cauchy: tuple[tuple[float, float], ...]
     window: tuple[float, float]
+
+    # the ray analysis evaluates these on every snapshot's rays; each is
+    # inverse-transformed once per estimate rather than once per evaluation
+    @cached_property
+    def W_physical(self) -> ComplexField:
+        return fourier_inverse(self.W)
+
+    @cached_property
+    def gamma_physical(self) -> ComplexField:
+        return fourier_inverse(ComplexField(self.W.grid, self.gamma_limit, SPECTRAL))
 
 
 def _cauchy_pairs(series) -> list[tuple[float, float]]:
@@ -291,10 +308,9 @@ def asymptotic_residual(
             f"{usable:.6g}; enlarge N to >= {required_points_for_split(grid.L, t)} "
             f"(or reduce L)"
         )
-    w_own = spectrum_at(own.W, targets)
-    w_other = spectrum_at(other.W, targets)
-    gamma_field = ComplexField(grid, other.gamma_limit, SPECTRAL)
-    gamma_at = spectrum_at(gamma_field, targets).real
+    w_own = spectrum_at(own.W_physical, targets)
+    w_other = spectrum_at(other.W_physical, targets)
+    gamma_at = spectrum_at(other.gamma_physical, targets).real
     phase = grid.x**2 / (4.0 * t) - RESONANT_COEFF * (
         np.abs(w_other) ** 2 * np.log(t) + gamma_at
     )

@@ -10,6 +10,7 @@ pure roundoff.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -91,10 +92,8 @@ def nonlinear_substep(state: PairState, dt: float) -> PairState:
     Exact potential-only flow: both moduli are constant under it, so the
     rotation with moduli frozen at entry solves the substep exactly.
     """
-    mu = np.abs(state.u.samples) ** 2
-    mv = np.abs(state.v.samples) ** 2
-    u = state.u.samples * np.exp(-1j * dt * mv)
-    v = state.v.samples * np.exp(-1j * dt * mu)
+    u = _rotate(state.u.samples, dt, np.abs(state.v.samples) ** 2)
+    v = _rotate(state.v.samples, dt, np.abs(state.u.samples) ** 2)
     g = state.grid
     return PairState(ComplexField(g, u, PHYSICAL), ComplexField(g, v, PHYSICAL), state.t + dt)
 
@@ -110,23 +109,59 @@ def strang_step(state: PairState, dt: float) -> PairState:
     if dt <= 0:
         raise ValueError("dt must be positive")
     g = state.grid
-    half = _half_multiplier(g, dt)
-    u = np.fft.ifft(np.fft.fft(state.u.samples) * half)
-    v = np.fft.ifft(np.fft.fft(state.v.samples) * half)
-    mu = np.abs(u) ** 2
-    mv = np.abs(v) ** 2
-    u *= np.exp(-1j * dt * mv)
-    v *= np.exp(-1j * dt * mu)
-    u = np.fft.ifft(np.fft.fft(u) * half)
-    v = np.fft.ifft(np.fft.fft(v) * half)
+    u, v = _step_fields(state.u.samples, state.v.samples, g, [dt])
     return PairState(ComplexField(g, u, PHYSICAL), ComplexField(g, v, PHYSICAL), state.t + dt)
+
+
+def _rotate(a: np.ndarray, h: float, m_other: np.ndarray) -> np.ndarray:
+    """Potential flow of one field over time h under the other's frozen
+    modulus m_other = |other|^2."""
+    # numpy's complex product is not bitwise commutative, and its temporary
+    # elision picks the operand order from this expression's form
+    return a * np.exp(-1j * h * m_other)
+
+
+def _field_task(a: np.ndarray, h_prev: float | None, m_other: np.ndarray | None, mult: np.ndarray):
+    """One field's share of a step: the previous step's rotation (none before
+    the first step), the linear multiplier, and the field's own modulus for
+    the other field's next rotation."""
+    if m_other is not None:
+        a = _rotate(a, h_prev, m_other)
+    a = np.fft.ifft(np.fft.fft(a) * mult)
+    return a, np.abs(a) ** 2
+
+
+def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[float]):
+    """
+    The stepping kernel: Strang steps of the given lengths with adjacent
+    linear half-steps fused (the same operator as repeated strang_step).  The
+    fields meet only through the moduli, so u advances on a worker thread and
+    v on this one, joined once per step; each field sees a sequential loop's
+    numpy operations in order, so the output is bit-identical to it.
+    """
+
+    @cache
+    def half(h: float) -> np.ndarray:
+        return _half_multiplier(grid, h)
+
+    @cache
+    def fused(prev: float, h: float) -> np.ndarray:
+        return half(prev) * half(h)
+
+    mults = [half(steps[0]), *(fused(p, h) for p, h in zip(steps, steps[1:])), half(steps[-1])]
+    mu = mv = None
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        for h_prev, mult in zip((None, *steps), mults):
+            u_next = pool.submit(_field_task, u, h_prev, mv, mult)
+            v, mv = _field_task(v, h_prev, mu, mult)
+            u, mu = u_next.result()
+    return u, v
 
 
 def _run_segment(u: np.ndarray, v: np.ndarray, grid: Grid1D, t0: float, t1: float, dt: float):
     """
     March (u, v) from t0 to t1 with fixed steps dt plus one shortened final
-    step.  Adjacent linear half-steps are fused, which composes to exactly the
-    same operator as repeated strang_step.
+    step.
     """
     span = t1 - t0
     if span <= 1e-14:
@@ -138,28 +173,7 @@ def _run_segment(u: np.ndarray, v: np.ndarray, grid: Grid1D, t0: float, t1: floa
     steps = [dt] * n_full + ([rest] if rest > 0.0 else [])
     if not steps:
         return u, v
-
-    @cache
-    def half(h: float) -> np.ndarray:
-        return _half_multiplier(grid, h)
-
-    @cache
-    def fused(prev: float, h: float) -> np.ndarray:
-        return half(prev) * half(h)
-
-    prev = None
-    for h in steps:
-        mult = half(h) if prev is None else fused(prev, h)
-        u = np.fft.ifft(np.fft.fft(u) * mult)
-        v = np.fft.ifft(np.fft.fft(v) * mult)
-        mu = np.abs(u) ** 2
-        mv = np.abs(v) ** 2
-        u = u * np.exp(-1j * h * mv)
-        v = v * np.exp(-1j * h * mu)
-        prev = h
-    u = np.fft.ifft(np.fft.fft(u) * half(prev))
-    v = np.fft.ifft(np.fft.fft(v) * half(prev))
-    return u, v
+    return _step_fields(u, v, grid, steps)
 
 
 def _check_edges(u: np.ndarray, v: np.ndarray, t: float) -> None:

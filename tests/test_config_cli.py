@@ -60,6 +60,15 @@ class TestConfigParsing:
             f"line {len(lines)}: duplicate config key 'solver.dt' (first set on line {first})"
         )
 
+    def test_hash_inside_value_kept(self, tmp_path):
+        cfg = sl.parse_config(write_config(tmp_path, GOOD_CONFIG + "io.outdir = runs/#3\n"))
+        assert cfg.outdir == "runs/#3"
+
+    def test_trailing_comment_stripped(self, tmp_path):
+        text = GOOD_CONFIG.replace("grid.N = 4096", "grid.N = 4096  # note")
+        cfg = sl.parse_config(write_config(tmp_path, text))
+        assert cfg.grid_N == 4096
+
     def test_bad_shape(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG.replace("gaussian", "square"))
         with pytest.raises(ConfigError, match="data.shape"):

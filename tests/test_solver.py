@@ -1,7 +1,11 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 import scatterlab as sl
+from scatterlab import solver
 from scatterlab.solver import BoundaryWrapError, DomainSizingError
 
 
@@ -15,6 +19,37 @@ def run(grid, u1, v1, t_end, dt, ratio=2.0**0.25, check_domain=True, eps=0.2):
     return sl.evolve(
         sl.PairState(u1, v1, 1.0), t_end, dt, schedule, params, check_domain=check_domain
     )
+
+
+def sequential_evolve(u, v, grid, times, dt):
+    """Single-threaded oracle: the plain split-step loop, one field after the
+    other with fused linear half-steps, returning (u, v) at every time."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
+
+    def half(h):
+        return np.exp(-0.5j * h * xi**2)
+
+    out = [(u, v)]
+    for t0, t1 in zip(times, times[1:]):
+        span = t1 - t0
+        n_full = int(np.floor(span / dt + 1e-12))
+        rest = span - n_full * dt
+        if rest < 1e-12 * max(1.0, t1):
+            rest = 0.0
+        prev = None
+        for h in [dt] * n_full + ([rest] if rest > 0.0 else []):
+            mult = half(h) if prev is None else half(prev) * half(h)
+            u = np.fft.ifft(np.fft.fft(u) * mult)
+            v = np.fft.ifft(np.fft.fft(v) * mult)
+            mu = np.abs(u) ** 2
+            mv = np.abs(v) ** 2
+            u = u * np.exp(-1j * h * mv)
+            v = v * np.exp(-1j * h * mu)
+            prev = h
+        u = np.fft.ifft(np.fft.fft(u) * half(prev))
+        v = np.fft.ifft(np.fft.fft(v) * half(prev))
+        out.append((u, v))
+    return out
 
 
 class TestNonlinearSubstep:
@@ -168,6 +203,53 @@ class TestEvolve:
         params = sl.AnalysisParams.make()
         with pytest.raises(ValueError):
             sl.evolve(sl.PairState(u1, v1, 2.0), 4.0, 0.05, [1.0, 4.0], params)
+
+
+class TestThreadedKernel:
+    @pytest.mark.parametrize("N, L", [(256, 80.0), (2**15, 2400.0)])
+    def test_matches_sequential_loop_bitwise(self, N, L):
+        # about 20 steps over two segments, the second ending in a short step
+        grid = sl.Grid1D(L=L, N=N)
+        u1, v1 = sl.initial_pair(grid, "modulated", 0.2, 3.0, carrier=0.5)
+        params = sl.AnalysisParams.make(epsilon=0.2)
+        times = [1.0, 1.5, 2.03]
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), 2.03, 0.05, times, params)
+        oracle = sequential_evolve(u1.samples, v1.samples, grid, times, 0.05)
+        assert len(traj.snapshots) == len(oracle) == 3
+        for s, (u, v) in zip(traj.snapshots, oracle):
+            assert np.array_equal(s.u.samples, u)
+            assert np.array_equal(s.v.samples, v)
+
+    def test_bitwise_under_frequent_thread_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.test_matches_sequential_loop_bitwise(256, 80.0)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_worker_error_reaches_caller(self):
+        # u (the worker's field) cannot take the multiplier; v can
+        grid = sl.Grid1D(L=80.0, N=256)
+        before = threading.active_count()
+        with pytest.raises(ValueError):
+            solver._step_fields(np.ones(128, complex), np.ones(256, complex), grid, [0.05])
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_evolve(self):
+        grid = sl.Grid1D(L=200.0, N=256)
+        u1, v1 = small_pair(grid, eps=0.1)
+        before = threading.active_count()
+        run(grid, u1, v1, 3.0, 0.05, eps=0.1)
+        assert threading.active_count() == before
+
+    def test_no_thread_outlives_failed_evolve(self):
+        grid = sl.Grid1D(L=30.0, N=256)
+        u1, v1 = small_pair(grid, eps=0.5, width=1.0)
+        before = threading.active_count()
+        with pytest.raises(BoundaryWrapError):
+            run(grid, u1, v1, 30.0, 0.05, check_domain=False, eps=0.5)
+        assert threading.active_count() == before
 
 
 class TestScheduleAndData:
