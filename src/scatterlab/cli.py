@@ -43,7 +43,8 @@ def _line(ok: bool, label: str, detail: str) -> str:
     return f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}"
 
 
-def _run_trajectory(cfg: ExperimentConfig, grid, params, u1, v1):
+def _run_trajectory(cfg: ExperimentConfig, experiment):
+    _, params, u1, v1 = experiment
     schedule = geometric_schedule(cfg.t_end, cfg.schedule_ratio)
     initial = PairState(u1, v1, 1.0)
     return evolve(initial, cfg.t_end, cfg.dt, schedule, params)
@@ -54,9 +55,8 @@ def _fit_window(analysis, lo: float):
     return analysis.times[mask], mask
 
 
-def cmd_simulate(cfg, outdir: Path, seed: int) -> list[str]:
-    grid, params, u1, v1 = build_experiment(cfg)
-    traj = _run_trajectory(cfg, grid, params, u1, v1)
+def cmd_simulate(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+    traj = _run_trajectory(cfg, experiment)
     if cfg.save_snapshots:
         save_trajectory(traj, outdir / "trajectory.bin")
     analysis = analyze_trajectory(traj)
@@ -71,9 +71,8 @@ def cmd_simulate(cfg, outdir: Path, seed: int) -> list[str]:
     ]
 
 
-def cmd_decay(cfg, outdir: Path, seed: int) -> list[str]:
-    grid, params, u1, v1 = build_experiment(cfg)
-    traj = _run_trajectory(cfg, grid, params, u1, v1)
+def cmd_decay(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+    traj = _run_trajectory(cfg, experiment)
     analysis = analyze_trajectory(traj, with_asymptotic=False)
     write_snapshot_csv(outdir / "snapshots.csv", analysis)
     # dispersive decay only sets in past t ~ width^2; fit from t = 10 on
@@ -90,9 +89,8 @@ def cmd_decay(cfg, outdir: Path, seed: int) -> list[str]:
     return lines
 
 
-def cmd_scattering(cfg, outdir: Path, seed: int) -> list[str]:
-    grid, params, u1, v1 = build_experiment(cfg)
-    traj = _run_trajectory(cfg, grid, params, u1, v1)
+def cmd_scattering(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+    traj = _run_trajectory(cfg, experiment)
     analysis = analyze_trajectory(traj, with_asymptotic=False)
     write_snapshot_csv(outdir / "snapshots.csv", analysis)
     lines = []
@@ -115,9 +113,8 @@ def cmd_scattering(cfg, outdir: Path, seed: int) -> list[str]:
     return lines
 
 
-def cmd_remainder(cfg, outdir: Path, seed: int) -> list[str]:
-    grid, params, u1, v1 = build_experiment(cfg)
-    traj = _run_trajectory(cfg, grid, params, u1, v1)
+def cmd_remainder(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+    traj = _run_trajectory(cfg, experiment)
     report = remainder_decay_fit(traj)
     write_series_csv(
         outdir / "remainder_decay.csv",
@@ -182,13 +179,13 @@ def oracle_cross_check(seed: int, cases: int = 5) -> float:
     return worst
 
 
-def cmd_asymptotic(cfg, outdir: Path, seed: int) -> list[str]:
-    grid, params, u1, v1 = build_experiment(cfg)
-    traj = _run_trajectory(cfg, grid, params, u1, v1)
+def cmd_asymptotic(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+    traj = _run_trajectory(cfg, experiment)
     analysis = analyze_trajectory(traj)
     write_snapshot_csv(outdir / "snapshots.csv", analysis)
     if analysis.est_u is None:
         return ["[FAIL] asymptotic: window too short for limit estimation"]
+    grid = traj.grid
     t_lo = max(cfg.t_end / 16.0, 1.05 * grid.L**2 / (4.0 * np.pi * grid.N))
     lines = []
     for name, series in (("u", analysis.asym_u), ("v", analysis.asym_v)):
@@ -227,7 +224,7 @@ def main(argv=None) -> int:
             cfg = replace(cfg, outdir=args.outdir)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        build_experiment(cfg)
+        experiment = build_experiment(cfg)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -235,7 +232,7 @@ def main(argv=None) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        lines = _COMMANDS[args.command](cfg, outdir, cfg.seed)
+        lines = _COMMANDS[args.command](cfg, experiment, outdir, cfg.seed)
     except Exception as exc:  # numerical / runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

@@ -6,7 +6,7 @@ remainder split of the dispersive decay estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import update_wrapper
 from typing import NamedTuple
 
 import numpy as np
@@ -16,6 +16,7 @@ from .spectral import (
     PHYSICAL,
     SPECTRAL,
     ComplexField,
+    Grid1D,
     fourier_forward,
     fourier_inverse,
     to_physical,
@@ -87,22 +88,61 @@ class _BluesteinPlan(NamedTuple):
     out_phase: np.ndarray  # e^{-i x0 xi_k} e^{-i theta k^2 / 2}
 
 
-@lru_cache(maxsize=1)
+class _CacheInfo(NamedTuple):
+    hits: int
+    misses: int
+    maxsize: int
+    currsize: int
+
+
+class _OneSlot:
+    """Memo of the most recent call.  Unlike lru_cache(maxsize=1) it drops
+    the held value before building the next one, so two are never alive at
+    once; cache_info and cache_clear mean what they mean there."""
+
+    def __init__(self, build):
+        update_wrapper(self, build)
+        self._build = build
+        self.cache_clear()
+
+    def __call__(self, *key):
+        if self._slot is not None and self._slot[0] == key:
+            self._hits += 1
+            return self._slot[1]
+        self._slot = None
+        self._misses += 1
+        value = self._build(*key)
+        self._slot = (key, value)
+        return value
+
+    def cache_info(self) -> _CacheInfo:
+        return _CacheInfo(self._hits, self._misses, 1, int(self._slot is not None))
+
+    def cache_clear(self) -> None:
+        self._slot = None
+        self._hits = self._misses = 0
+
+
+@_OneSlot
 def _bluestein_plan(n: int, x0: float, dx: float, xi0: float, dxi: float, m: int) -> _BluesteinPlan:
     """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi.
     One geometry is held: the ray analysis evaluates every spectrum of a
     snapshot time on the same targets before it moves to the next time."""
     theta = np.longdouble(dx) * np.longdouble(dxi)
-    span = np.arange(-(n - 1), m)
-    kernel_hat = fft(_unit_phase(theta / 2, span * span), next_fast_len(n + span.size - 1))
-    j = np.arange(n)
-    k = np.arange(m)
-    ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), k) * np.exp(-1j * x0 * xi0)
+    # both chirps depend on |s| only: each is tabulated once over 0 .. max(n, m)-1
+    square = np.arange(max(n, m)) ** 2
+    kernel = _unit_phase(theta / 2, square)[np.abs(np.arange(-(n - 1), m))]
+    # the kept outputs n-1 .. n+m-2 never wrap in a circular convolution
+    # of length >= n+m-1
+    kernel_hat = fft(kernel, next_fast_len(n + m - 1))
+    del kernel  # before the other chirp is tabulated
+    chirp = _unit_phase(-theta / 2, square)
+    ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), np.arange(m)) * np.exp(-1j * x0 * xi0)
     plan = _BluesteinPlan(
         kernel_hat=kernel_hat,
-        shift=_unit_phase(-np.longdouble(dx) * np.longdouble(xi0), j),
-        chirp=_unit_phase(-theta / 2, j * j),
-        out_phase=ray * _unit_phase(-theta / 2, k * k),
+        shift=_unit_phase(-np.longdouble(dx) * np.longdouble(xi0), np.arange(n)),
+        chirp=chirp[:n],
+        out_phase=ray * chirp[:m],
     )
     for arr in plan:
         arr.flags.writeable = False
@@ -160,6 +200,21 @@ def required_points_for_split(L: float, t: float) -> int:
     return n + (n % 2)
 
 
+def _ray_targets(grid: Grid1D, t: float) -> np.ndarray:
+    """The rays x/2t of the grid's nodes; FrequencyRangeError if any of them
+    lies past the band the grid resolves."""
+    targets = grid.x / (2.0 * t)
+    usable = float(grid.xi[-1])  # positive band edge; tighter than the negative one
+    needed = float(np.max(np.abs(targets)))
+    if needed > usable:
+        raise FrequencyRangeError(
+            f"ray evaluation needs |xi| <= {needed:.6g} but the grid resolves only "
+            f"{usable:.6g}; enlarge N to >= {required_points_for_split(grid.L, t)} "
+            f"(or reduce L)"
+        )
+    return targets
+
+
 def leading_split(field: ComplexField, t: float) -> LeadingSplit:
     """
     Split the freely evolved field into (2it)^{-1/2} e^{i x^2/4t} phihat(x/2t)
@@ -170,15 +225,7 @@ def leading_split(field: ComplexField, t: float) -> LeadingSplit:
         raise ValueError("leading_split requires t >= 1")
     phys = to_physical(field)
     g = phys.grid
-    targets = g.x / (2.0 * t)
-    usable = float(g.xi[-1])  # positive band edge; tighter than the negative one
-    needed = float(np.max(np.abs(targets)))
-    if needed > usable:
-        raise FrequencyRangeError(
-            f"evaluation needs |xi| <= {needed:.6g} but the grid resolves only "
-            f"{usable:.6g}; enlarge N to >= {required_points_for_split(g.L, t)} "
-            f"(or reduce L)"
-        )
+    targets = _ray_targets(g, t)
     hat_vals = spectrum_at(phys, targets)
     prefactor = (2j * t) ** (-0.5)
     lead = prefactor * np.exp(1j * g.x**2 / (4.0 * t)) * hat_vals

@@ -7,12 +7,12 @@ by the weighted estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
 
-from .propagator import FrequencyRangeError, free_evolve, required_points_for_split, spectrum_at
+from .propagator import FrequencyRangeError, _ray_targets, free_evolve, spectrum_at
 from .ratefit import RateFit, fit_rate
 from .remainder import (
     RESONANT_COEFF,
@@ -189,6 +189,9 @@ class ScatteringEstimate:
     fit_h0n: RateFit | None
     cauchy: tuple[tuple[float, float], ...]
     window: tuple[float, float]
+    # W and Gamma along the rays of the most recent time: the u and v
+    # residuals at one time both need W_u and W_v, so each is evaluated once
+    _rays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     # the ray analysis evaluates these on every snapshot's rays; each is
     # inverse-transformed once per estimate rather than once per evaluation
@@ -199,6 +202,18 @@ class ScatteringEstimate:
     @cached_property
     def gamma_physical(self) -> ComplexField:
         return fourier_inverse(ComplexField(self.W.grid, self.gamma_limit, SPECTRAL))
+
+    def _at_rays(self, name: str, grid: Grid1D, t: float, targets: np.ndarray) -> np.ndarray:
+        """spectrum_at of W_physical ("W") or gamma_physical ("gamma") on the
+        rays x/2t of grid; targets must be those rays."""
+        key = (grid.L, grid.N, t)
+        if self._rays.get("key") != key:
+            self._rays.clear()  # the previous time's spectra go first
+            self._rays["key"] = key
+        if name not in self._rays:
+            source = self.W_physical if name == "W" else self.gamma_physical
+            self._rays[name] = spectrum_at(source, targets)
+        return self._rays[name]
 
 
 def _cauchy_pairs(series) -> list[tuple[float, float]]:
@@ -228,6 +243,7 @@ def estimate_limit(series, n: int) -> ScatteringEstimate:
     if times[-1] / times[0] < 10.0:
         raise ValueError("limit estimation needs at least one decade of time")
     w_last = series[-1][1]
+    w_peak = norm_Linf(w_last)
     t_max = times[-1]
     fit_ts = []
     fit_linf_vals = []
@@ -238,7 +254,7 @@ def estimate_limit(series, n: int) -> ScatteringEstimate:
         diff = ComplexField(f.grid, f.samples - w_last.samples, SPECTRAL)
         fit_ts.append(t)
         fit_linf_vals.append(norm_Linf(diff))
-        fit_h0n_vals.append(norm_H0n(diff, n))
+        fit_h0n_vals.append(norm_H0n(diff, n, scale=w_peak))
     try:
         fit_linf = fit_rate(fit_ts, fit_linf_vals)
     except ValueError:
@@ -299,18 +315,10 @@ def asymptotic_residual(
     if other.gamma_limit is None:
         raise ValueError("the other component's estimate is missing gamma_limit")
     grid = traj.grid
-    targets = grid.x / (2.0 * t)
-    usable = float(grid.xi[-1])
-    needed = float(np.max(np.abs(targets)))
-    if needed > usable:
-        raise FrequencyRangeError(
-            f"ray evaluation needs |xi| <= {needed:.6g} but the grid resolves only "
-            f"{usable:.6g}; enlarge N to >= {required_points_for_split(grid.L, t)} "
-            f"(or reduce L)"
-        )
-    w_own = spectrum_at(own.W_physical, targets)
-    w_other = spectrum_at(other.W_physical, targets)
-    gamma_at = spectrum_at(other.gamma_physical, targets).real
+    targets = _ray_targets(grid, t)
+    w_own = own._at_rays("W", grid, t, targets)
+    w_other = other._at_rays("W", grid, t, targets)
+    gamma_at = other._at_rays("gamma", grid, t, targets).real
     phase = grid.x**2 / (4.0 * t) - RESONANT_COEFF * (
         np.abs(w_other) ** 2 * np.log(t) + gamma_at
     )
@@ -405,13 +413,15 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
     wf_dl, wg_dl, wf_dh, wg_dh = nanrow.copy(), nanrow.copy(), nanrow.copy(), nanrow.copy()
     asym_u, asym_v = nanrow.copy(), nanrow.copy()
     if est_u is not None and est_v is not None:
+        peak_u = norm_Linf(est_u.W)
+        peak_v = norm_Linf(est_v.W)
         for i in range(m):
             df = series_f[i][1].samples - est_u.W.samples
             dg = series_g[i][1].samples - est_v.W.samples
             wf_dl[i] = np.max(np.abs(df))
             wg_dl[i] = np.max(np.abs(dg))
-            wf_dh[i] = norm_H0n(ComplexField(traj.grid, df, SPECTRAL), n)
-            wg_dh[i] = norm_H0n(ComplexField(traj.grid, dg, SPECTRAL), n)
+            wf_dh[i] = norm_H0n(ComplexField(traj.grid, df, SPECTRAL), n, scale=peak_u)
+            wg_dh[i] = norm_H0n(ComplexField(traj.grid, dg, SPECTRAL), n, scale=peak_v)
         if with_asymptotic:
             for i, t in enumerate(times):
                 try:
@@ -419,6 +429,9 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
                     asym_v[i] = asymptotic_residual(traj, est_u, est_v, t, "v")
                 except FrequencyRangeError:
                     continue
+            # the analysis keeps the estimates, not the last time's ray spectra
+            est_u._rays.clear()
+            est_v._rays.clear()
     return TrajectoryAnalysis(
         traj=traj,
         times=times,

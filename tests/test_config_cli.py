@@ -1,6 +1,7 @@
 import pytest
 
 import scatterlab as sl
+import scatterlab.cli as cli
 from scatterlab.cli import main, oracle_cross_check
 from scatterlab.config import ConfigError
 
@@ -134,6 +135,23 @@ class TestCli:
         for row in rows:
             cols = row.split(",")
             assert float(cols[1]) == 0.0 and float(cols[2]) == 0.0
+
+    def test_experiment_built_once(self, tmp_path, monkeypatch):
+        cfg = GOOD_CONFIG.replace("data.epsilon = 0.1", "data.epsilon = 0.0").replace(
+            "grid.N = 4096", "grid.N = 256"
+        )
+        path = write_config(tmp_path, cfg)
+        built = []
+
+        def counting(cfg):
+            built.append(cfg)
+            return sl.build_experiment(cfg)
+
+        monkeypatch.setattr(cli, "build_experiment", counting)
+        for command in ("simulate", "decay", "asymptotic"):
+            built.clear()
+            main([command, "--config", str(path), "--outdir", str(tmp_path / command)])
+            assert len(built) == 1
 
     def test_decay_command_passes_and_writes_report(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG)

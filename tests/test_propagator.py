@@ -2,7 +2,12 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.propagator import FrequencyRangeError, _bluestein_plan
+import weakref
+
+from scipy.fft import fft, next_fast_len
+
+import scatterlab.propagator as propagator
+from scatterlab.propagator import FrequencyRangeError, _bluestein_plan, _unit_phase
 
 
 def gaussian(grid, a=1.0):
@@ -159,6 +164,50 @@ class TestBluesteinPlan:
         info = _bluestein_plan.cache_info()
         assert info.maxsize == 1
         assert info.currsize == 1
+
+
+class TestRayEngine:
+    @pytest.mark.parametrize(
+        "n, m",
+        [(1024, 1025), (1024, 1026), (1024, 100), (1024, 1024), (256, 3000)],
+    )
+    def test_czt_matches_direct(self, n, m):
+        # n+m-1 = 2048 is a fast length and 2049 is just past it
+        grid = sl.Grid1D(L=50.0, N=n)
+        f = smooth_random(grid, 11)
+        targets = np.linspace(-2.5, 3.0, m)
+        a = sl.spectrum_at(f, targets, method="direct")
+        b = sl.spectrum_at(f, targets, method="czt")
+        assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
+
+    @pytest.mark.parametrize("n, m", [(64, 40), (64, 150), (1024, 1024)])
+    def test_plan_arrays_match_direct_formulas(self, n, m):
+        x0, dx, xi0, dxi = -3.2, 0.1, -2.0, 0.05
+        plan = _bluestein_plan(n, x0, dx, xi0, dxi, m)
+        ld = np.longdouble
+        theta = ld(dx) * ld(dxi)
+        j = np.arange(n)
+        k = np.arange(m)
+        span = np.arange(-(n - 1), m)
+        ray = _unit_phase(-ld(x0) * ld(dxi), k) * np.exp(-1j * x0 * xi0)
+        assert np.array_equal(plan.shift, _unit_phase(-ld(dx) * ld(xi0), j))
+        assert np.array_equal(plan.chirp, _unit_phase(-theta / 2, j * j))
+        assert np.array_equal(plan.out_phase, ray * _unit_phase(-theta / 2, k * k))
+        kernel = _unit_phase(theta / 2, span * span)
+        assert plan.kernel_hat.size == next_fast_len(n + m - 1)
+        assert np.array_equal(plan.kernel_hat, fft(kernel, next_fast_len(n + m - 1)))
+
+    def test_old_plan_dropped_before_next_is_built(self, monkeypatch):
+        old = weakref.ref(_bluestein_plan(64, -3.2, 0.1, -2.0, 0.05, 40).kernel_hat)
+        seen = []
+
+        def watching_fft(*args, **kwargs):
+            seen.append(old() is None)
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, "fft", watching_fft)
+        _bluestein_plan(64, -3.2, 0.1, -1.0, 0.05, 40)
+        assert seen and all(seen)
 
 
 class TestLeadingSplit:

@@ -1,7 +1,10 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import scatterlab as sl
+import scatterlab.scattering as scattering
 from scatterlab.remainder import RESONANT_COEFF
 from scatterlab.scattering import PhaseAccumulator, _cauchy_pairs
 from conftest import coarsen
@@ -267,6 +270,53 @@ class TestAsymptoticResidual:
         est_g = _with_gamma(est_g, sl.phase_offset(series_g)[1])
         with pytest.raises(sl.FrequencyRangeError, match="enlarge N"):
             sl.asymptotic_residual(traj, est_f, est_g, 1.0, "u")
+
+
+class TestRayAnalysis:
+    def test_analysis_matches_residual_bitwise(self):
+        traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
+        analysis = sl.analyze_trajectory(traj)
+        usable = np.isfinite(analysis.asym_u)
+        assert np.count_nonzero(usable) >= 2
+        assert np.array_equal(usable, np.isfinite(analysis.asym_v))
+        fresh = [scattering._with_gamma(e, e.gamma_limit) for e in (analysis.est_u, analysis.est_v)]
+        assert fresh[0]._rays is not analysis.est_u._rays
+        for i in np.nonzero(usable)[0]:
+            t = traj.times[i]
+            for ests in ((analysis.est_u, analysis.est_v), fresh):
+                assert sl.asymptotic_residual(traj, *ests, t, "u") == analysis.asym_u[i]
+                assert sl.asymptotic_residual(traj, *ests, t, "v") == analysis.asym_v[i]
+
+    def test_four_spectra_per_time(self, monkeypatch):
+        traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
+        calls = []
+
+        def counting(field, targets, method="auto"):
+            calls.append(targets.size)
+            return sl.spectrum_at(field, targets, method)
+
+        monkeypatch.setattr(scattering, "spectrum_at", counting)
+        analysis = sl.analyze_trajectory(traj)
+        usable = np.count_nonzero(np.isfinite(analysis.asym_u))
+        assert usable >= 2
+        assert len(calls) == 4 * usable
+
+    def test_decoupled_case_has_no_edge_warning(self):
+        # v = 0 and u free: f - W is transform round-off, whose edge is noise
+        grid = sl.Grid1D(L=300.0, N=4096)
+        u1 = sl.ComplexField(grid, np.exp(-grid.x**2), "physical")
+        zero = sl.ComplexField(grid, np.zeros(grid.N), "physical")
+        snaps = tuple(
+            sl.PairState(sl.free_evolve(u1, t - 1.0), zero, t)
+            for t in [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0]
+        )
+        traj = sl.Trajectory(
+            grid=grid, params=sl.AnalysisParams.make(epsilon=1.0), snapshots=snaps, dt=float("nan")
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", sl.EdgeMassWarning)
+            analysis = sl.analyze_trajectory(traj)
+        assert np.all(analysis.wf_diff_h0n < 1e-10)
 
 
 class TestInterpolationPairs:
