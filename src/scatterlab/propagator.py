@@ -6,7 +6,7 @@ remainder split of the dispersive decay estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import update_wrapper
+from functools import _CacheInfo, update_wrapper
 from typing import NamedTuple
 
 import numpy as np
@@ -88,13 +88,6 @@ class _BluesteinPlan(NamedTuple):
     out_phase: np.ndarray  # e^{-i x0 xi_k} e^{-i theta k^2 / 2}
 
 
-class _CacheInfo(NamedTuple):
-    hits: int
-    misses: int
-    maxsize: int
-    currsize: int
-
-
 class _OneSlot:
     """Memo of the most recent call.  Unlike lru_cache(maxsize=1) it drops
     the held value before building the next one, so two are never alive at
@@ -131,18 +124,23 @@ def _bluestein_plan(n: int, x0: float, dx: float, xi0: float, dxi: float, m: int
     theta = np.longdouble(dx) * np.longdouble(dxi)
     # both chirps depend on |s| only: each is tabulated once over 0 .. max(n, m)-1
     square = np.arange(max(n, m)) ** 2
-    kernel = _unit_phase(theta / 2, square)[np.abs(np.arange(-(n - 1), m))]
-    # the kept outputs n-1 .. n+m-2 never wrap in a circular convolution
-    # of length >= n+m-1
-    kernel_hat = fft(kernel, next_fast_len(n + m - 1))
-    del kernel  # before the other chirp is tabulated
+    half = _unit_phase(theta / 2, square)
+    # the kernel over s = 1-n .. m-1 is written into its zero-padded FFT buffer
+    # and transformed in place, so no padded copy is made
+    kernel_hat = np.zeros(next_fast_len(2 * n + m - 2), dtype=np.complex128)
+    kernel_hat[: n - 1] = half[n - 1 : 0 : -1]
+    kernel_hat[n - 1 : n - 1 + m] = half[:m]
+    del half  # before the other chirp is tabulated
+    kernel_hat = fft(kernel_hat, overwrite_x=True)
     chirp = _unit_phase(-theta / 2, square)
     ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), np.arange(m)) * np.exp(-1j * x0 * xi0)
     plan = _BluesteinPlan(
         kernel_hat=kernel_hat,
         shift=_unit_phase(-np.longdouble(dx) * np.longdouble(xi0), np.arange(n)),
         chirp=chirp[:n],
-        out_phase=ray * chirp[:m],
+        # times a fresh array, as ray * _unit_phase(-theta / 2, k * k) is: numpy
+        # then reuses large temporaries in place, which fixes the operand order
+        out_phase=ray * chirp[:m].copy(),
     )
     for arr in plan:
         arr.flags.writeable = False

@@ -303,6 +303,10 @@ def asymptotic_residual(
     form (2it)^{-1/2} W(x/2t) exp(i x^2/4t - i c (|W_other|^2 ln t + Gamma))
     with c = RESONANT_COEFF, everything evaluated along the rays x/2t by
     band-limited interpolation.
+
+    Each estimate keeps the ray spectra of the last time it was evaluated at,
+    so the other component's residual at the same time reuses W_u and W_v;
+    they are dropped when an estimate is evaluated at another time or grid.
     """
     if component not in ("u", "v"):
         raise ValueError("component must be 'u' or 'v'")
@@ -429,9 +433,11 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
                     asym_v[i] = asymptotic_residual(traj, est_u, est_v, t, "v")
                 except FrequencyRangeError:
                     continue
-            # the analysis keeps the estimates, not the last time's ray spectra
-            est_u._rays.clear()
-            est_v._rays.clear()
+                finally:
+                    # a time's ray spectra go before the next time's plan is
+                    # built, and the analysis does not keep the last ones
+                    est_u._rays.clear()
+                    est_v._rays.clear()
     return TrajectoryAnalysis(
         traj=traj,
         times=times,

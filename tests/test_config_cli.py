@@ -137,10 +137,7 @@ class TestCli:
             assert float(cols[1]) == 0.0 and float(cols[2]) == 0.0
 
     def test_experiment_built_once(self, tmp_path, monkeypatch):
-        cfg = GOOD_CONFIG.replace("data.epsilon = 0.1", "data.epsilon = 0.0").replace(
-            "grid.N = 4096", "grid.N = 256"
-        )
-        path = write_config(tmp_path, cfg)
+        path = write_config(tmp_path, GOOD_CONFIG.replace("grid.N = 4096", "grid.N = 1024"))
         built = []
 
         def counting(cfg):
@@ -150,7 +147,8 @@ class TestCli:
         monkeypatch.setattr(cli, "build_experiment", counting)
         for command in ("simulate", "decay", "asymptotic"):
             built.clear()
-            main([command, "--config", str(path), "--outdir", str(tmp_path / command)])
+            rc = main([command, "--config", str(path), "--outdir", str(tmp_path / command)])
+            assert rc == 0, command
             assert len(built) == 1
 
     def test_decay_command_passes_and_writes_report(self, tmp_path):
