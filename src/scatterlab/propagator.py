@@ -6,8 +6,7 @@ remainder split of the dispersive decay estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import _CacheInfo, update_wrapper
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.fft import fft, ifft, next_fast_len
@@ -19,6 +18,7 @@ from .spectral import (
     Grid1D,
     fourier_forward,
     fourier_inverse,
+    require_same_grid,
     to_physical,
 )
 
@@ -80,7 +80,7 @@ def _unit_phase(scale: np.longdouble, index: np.ndarray) -> np.ndarray:
 class _BluesteinPlan(NamedTuple):
     """Everything of a chirp transform that depends only on the ray geometry,
     with theta = dx * dxi; the arrays are read-only because one plan serves
-    every caller."""
+    every field of a call."""
 
     kernel_hat: np.ndarray  # FFT of the chirp e^{i theta s^2 / 2}, s = 1-n .. m-1
     shift: np.ndarray  # e^{-i dx xi0 j}
@@ -88,39 +88,8 @@ class _BluesteinPlan(NamedTuple):
     out_phase: np.ndarray  # e^{-i x0 xi_k} e^{-i theta k^2 / 2}
 
 
-class _OneSlot:
-    """Memo of the most recent call.  Unlike lru_cache(maxsize=1) it drops
-    the held value before building the next one, so two are never alive at
-    once; cache_info and cache_clear mean what they mean there."""
-
-    def __init__(self, build):
-        update_wrapper(self, build)
-        self._build = build
-        self.cache_clear()
-
-    def __call__(self, *key):
-        if self._slot is not None and self._slot[0] == key:
-            self._hits += 1
-            return self._slot[1]
-        self._slot = None
-        self._misses += 1
-        value = self._build(*key)
-        self._slot = (key, value)
-        return value
-
-    def cache_info(self) -> _CacheInfo:
-        return _CacheInfo(self._hits, self._misses, 1, int(self._slot is not None))
-
-    def cache_clear(self) -> None:
-        self._slot = None
-        self._hits = self._misses = 0
-
-
-@_OneSlot
 def _bluestein_plan(n: int, x0: float, dx: float, xi0: float, dxi: float, m: int) -> _BluesteinPlan:
-    """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi.
-    One geometry is held: the ray analysis evaluates every spectrum of a
-    snapshot time on the same targets before it moves to the next time."""
+    """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi."""
     theta = np.longdouble(dx) * np.longdouble(dxi)
     # both chirps depend on |s| only: each is tabulated once over 0 .. max(n, m)-1
     square = np.arange(max(n, m)) ** 2
@@ -147,29 +116,42 @@ def _bluestein_plan(n: int, x0: float, dx: float, xi0: float, dxi: float, m: int
     return plan
 
 
-def _bluestein(samples: np.ndarray, x0: float, dx: float, xi0: float, dxi: float, m: int) -> np.ndarray:
-    """Chirp-transform evaluation of sum_j samples_j e^{-i x_j xi_k} on the
-    uniform targets xi_k = xi0 + k*dxi; O((N+m) log(N+m))."""
-    n = samples.size
+def _bluestein(samples: list, x0: float, dx: float, xi0: float, dxi: float, m: int) -> list:
+    """Chirp-transform evaluation of sum_j phi_j e^{-i x_j xi_k} on the
+    uniform targets xi_k = xi0 + k*dxi, one row per phi in samples, all on
+    one plan; O((N+m) log(N+m)) per row."""
+    n = samples[0].size
     plan = _bluestein_plan(n, x0, dx, xi0, dxi, m)
-    # in place, so that holding the plan does not raise a call's peak memory
-    conv = fft(samples * plan.shift * plan.chirp, plan.kernel_hat.size)
-    conv *= plan.kernel_hat
-    return plan.out_phase * ifft(conv, overwrite_x=True)[n - 1 : n - 1 + m]
+    rows = []
+    for phi in samples:
+        conv = fft(phi * plan.shift * plan.chirp, plan.kernel_hat.size)
+        conv *= plan.kernel_hat
+        rows.append(plan.out_phase * ifft(conv, overwrite_x=True)[n - 1 : n - 1 + m])
+        del conv  # before the next row is transformed
+    return rows
 
 
-def spectrum_at(field: ComplexField, targets: np.ndarray, method: str = "auto") -> np.ndarray:
+def spectrum_at(
+    field: ComplexField | Sequence[ComplexField], targets: np.ndarray, method: str = "auto"
+) -> np.ndarray | list[np.ndarray]:
     """
     Evaluate the field's transform at arbitrary frequencies: for a physical
     field this is its normalized Fourier transform; for a spectral field it is
-    the band-limited (trigonometric) interpolant of the samples.
+    the band-limited (trigonometric) interpolant of the samples.  A sequence
+    of fields on one grid gives a list with one row per field, each bitwise
+    the value of its own call; the fields then share the work that depends
+    only on the grid and the targets.
 
     Uniformly spaced targets go through a Bluestein chirp transform when the
     direct sum would be large; both paths compute the identical sum
     (dx/sqrt(2*pi)) * sum_j phi_j e^{-i x_j xi}.
     """
-    phys = to_physical(field)
-    g = phys.grid
+    single = isinstance(field, ComplexField)
+    fields = [field] if single else list(field)
+    if not fields:
+        raise ValueError("spectrum_at needs at least one field")
+    g = require_same_grid(*fields)
+    samples = [to_physical(f).samples for f in fields]
     xi = np.atleast_1d(np.asarray(targets, dtype=float))
     if method not in ("auto", "direct", "czt"):
         raise ValueError("method must be auto, direct or czt")
@@ -181,15 +163,18 @@ def spectrum_at(field: ComplexField, targets: np.ndarray, method: str = "auto") 
         elif method == "czt":
             raise ValueError("czt path requires uniformly spaced targets")
     if use_czt:
-        dxi = float(xi[1] - xi[0])
-        out = _bluestein(phys.samples, float(g.x[0]), g.dx, float(xi[0]), dxi, xi.size)
+        rows = _bluestein(samples, float(g.x[0]), g.dx, float(xi[0]), float(xi[1] - xi[0]), xi.size)
     else:
-        out = np.empty(xi.size, dtype=np.complex128)
+        rows = [np.empty(xi.size, dtype=np.complex128) for _ in samples]
         chunk = max(1, _DIRECT_WORK_LIMIT // g.N)
         for lo in range(0, xi.size, chunk):
-            block = xi[lo : lo + chunk]
-            out[lo : lo + chunk] = np.exp(-1j * np.outer(block, g.x)) @ phys.samples
-    return (g.dx / _SQRT_2PI) * out
+            kernel = np.exp(-1j * np.outer(xi[lo : lo + chunk], g.x))
+            for row, phi in zip(rows, samples):
+                row[lo : lo + chunk] = kernel @ phi
+    for row in rows:
+        # in place: a real factor rounds each part once, as scale * row does
+        row *= g.dx / _SQRT_2PI
+    return rows[0] if single else rows
 
 
 def required_points_for_split(L: float, t: float) -> int:

@@ -7,8 +7,7 @@ by the weighted estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from functools import cached_property
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -161,20 +160,15 @@ def reduced_ode_residual(traj: Trajectory, m: int, acc_v: PhaseAccumulator | Non
     if acc_v is None:
         _, acc_v = accumulate_phase(traj)
     states = traj.snapshots[m - 1 : m + 2]
-    w = []
-    for state in states:
-        f_hat, _ = profile_spectra(state)
-        w.append(apply_phase_correction(f_hat, acc_v, state.t).samples)
+    spectra = [profile_spectra(state) for state in states]
+    w = [apply_phase_correction(f_hat, acc_v, s.t).samples for s, (f_hat, _) in zip(states, spectra)]
     t_lo, t_mid, t_hi = (s.t for s in states)
     h_minus = t_mid - t_lo
     h_plus = t_hi - t_mid
     deriv = (
         h_minus**2 * (w[2] - w[1]) + h_plus**2 * (w[1] - w[0])
     ) / (h_minus * h_plus * (h_minus + h_plus))
-    f_hat, g_hat = profile_spectra(states[1])
-    rhs = acc_v.correction_at(t_mid) * remainder_physical(
-        TrilinearInput(f_hat, g_hat, t_mid)
-    ).samples
+    rhs = acc_v.correction_at(t_mid) * remainder_physical(TrilinearInput(*spectra[1], t_mid)).samples
     diff = ComplexField(traj.grid, deriv - rhs, SPECTRAL)
     return norm_L2(diff)
 
@@ -189,31 +183,6 @@ class ScatteringEstimate:
     fit_h0n: RateFit | None
     cauchy: tuple[tuple[float, float], ...]
     window: tuple[float, float]
-    # W and Gamma along the rays of the most recent time: the u and v
-    # residuals at one time both need W_u and W_v, so each is evaluated once
-    _rays: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-
-    # the ray analysis evaluates these on every snapshot's rays; each is
-    # inverse-transformed once per estimate rather than once per evaluation
-    @cached_property
-    def W_physical(self) -> ComplexField:
-        return fourier_inverse(self.W)
-
-    @cached_property
-    def gamma_physical(self) -> ComplexField:
-        return fourier_inverse(ComplexField(self.W.grid, self.gamma_limit, SPECTRAL))
-
-    def _at_rays(self, name: str, grid: Grid1D, t: float, targets: np.ndarray) -> np.ndarray:
-        """spectrum_at of W_physical ("W") or gamma_physical ("gamma") on the
-        rays x/2t of grid; targets must be those rays."""
-        key = (grid.L, grid.N, t)
-        if self._rays.get("key") != key:
-            self._rays.clear()  # the previous time's spectra go first
-            self._rays["key"] = key
-        if name not in self._rays:
-            source = self.W_physical if name == "W" else self.gamma_physical
-            self._rays[name] = spectrum_at(source, targets)
-        return self._rays[name]
 
 
 def _cauchy_pairs(series) -> list[tuple[float, float]]:
@@ -303,10 +272,6 @@ def asymptotic_residual(
     form (2it)^{-1/2} W(x/2t) exp(i x^2/4t - i c (|W_other|^2 ln t + Gamma))
     with c = RESONANT_COEFF, everything evaluated along the rays x/2t by
     band-limited interpolation.
-
-    Each estimate keeps the ray spectra of the last time it was evaluated at,
-    so the other component's residual at the same time reuses W_u and W_v;
-    they are dropped when an estimate is evaluated at another time or grid.
     """
     if component not in ("u", "v"):
         raise ValueError("component must be 'u' or 'v'")
@@ -320,15 +285,22 @@ def asymptotic_residual(
         raise ValueError("the other component's estimate is missing gamma_limit")
     grid = traj.grid
     targets = _ray_targets(grid, t)
-    w_own = own._at_rays("W", grid, t, targets)
-    w_other = other._at_rays("W", grid, t, targets)
-    gamma_at = other._at_rays("gamma", grid, t, targets).real
-    phase = grid.x**2 / (4.0 * t) - RESONANT_COEFF * (
-        np.abs(w_other) ** 2 * np.log(t) + gamma_at
+    gamma_other = ComplexField(grid, other.gamma_limit, SPECTRAL)
+    w_own, w_other, gamma_at = spectrum_at([own.W, other.W, gamma_other], targets)
+    actual = state.u if component == "u" else state.v
+    return _closed_form_gap(actual, t, w_own, w_other, gamma_at)
+
+
+def _closed_form_gap(
+    actual: ComplexField, t: float, w_own: np.ndarray, w_other: np.ndarray, gamma_other: np.ndarray
+) -> float:
+    """asymptotic_residual of the field actual at time t, from W_own, W_other
+    and Gamma_other evaluated along the rays x/2t."""
+    phase = actual.grid.x**2 / (4.0 * t) - RESONANT_COEFF * (
+        np.abs(w_other) ** 2 * np.log(t) + gamma_other.real
     )
     closed = (2j * t) ** (-0.5) * w_own * np.exp(1j * phase)
-    actual = state.u.samples if component == "u" else state.v.samples
-    return float(np.max(np.abs(actual - closed)))
+    return float(np.max(np.abs(actual.samples - closed)))
 
 
 def interpolation_pairs(field: ComplexField, n: int) -> dict[str, tuple[float, float]]:
@@ -387,10 +359,6 @@ class TrajectoryAnalysis:
     asym_v: np.ndarray
 
 
-def _with_gamma(est: ScatteringEstimate, gamma_limit: np.ndarray) -> ScatteringEstimate:
-    return replace(est, gamma_limit=gamma_limit)
-
-
 def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> TrajectoryAnalysis:
     """Run the full per-snapshot analysis; quantities that need a longer
     window or a finer frequency grid degrade to None/NaN rather than fail."""
@@ -402,8 +370,8 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
         est_v = estimate_limit(series_g, n)
         _, gamma_u = phase_offset(series_f)
         _, gamma_v = phase_offset(series_g)
-        est_u = _with_gamma(est_u, gamma_u)
-        est_v = _with_gamma(est_v, gamma_v)
+        est_u = replace(est_u, gamma_limit=gamma_u)
+        est_v = replace(est_v, gamma_limit=gamma_v)
     except ValueError:
         est_u = None
         est_v = None
@@ -427,17 +395,20 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
             wf_dh[i] = norm_H0n(ComplexField(traj.grid, df, SPECTRAL), n, scale=peak_u)
             wg_dh[i] = norm_H0n(ComplexField(traj.grid, dg, SPECTRAL), n, scale=peak_v)
         if with_asymptotic:
+            # transformed once; every snapshot time evaluates all four on its rays
+            limits = [fourier_inverse(est_u.W), fourier_inverse(est_v.W)] + [
+                fourier_inverse(ComplexField(traj.grid, e.gamma_limit, SPECTRAL)) for e in (est_u, est_v)
+            ]
             for i, t in enumerate(times):
                 try:
-                    asym_u[i] = asymptotic_residual(traj, est_u, est_v, t, "u")
-                    asym_v[i] = asymptotic_residual(traj, est_u, est_v, t, "v")
+                    targets = _ray_targets(traj.grid, t)
                 except FrequencyRangeError:
                     continue
-                finally:
-                    # a time's ray spectra go before the next time's plan is
-                    # built, and the analysis does not keep the last ones
-                    est_u._rays.clear()
-                    est_v._rays.clear()
+                w_u, w_v, ray_gamma_u, ray_gamma_v = spectrum_at(limits, targets)
+                state = traj.snapshots[i]
+                asym_u[i] = _closed_form_gap(state.u, t, w_u, w_v, ray_gamma_v)
+                asym_v[i] = _closed_form_gap(state.v, t, w_v, w_u, ray_gamma_u)
+                del w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
     return TrajectoryAnalysis(
         traj=traj,
         times=times,

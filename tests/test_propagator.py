@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scatterlab as sl
 import weakref
@@ -133,23 +135,81 @@ class TestSpectrumAt:
         assert np.max(np.abs(vals - ref)) < 1e-13
 
 
+def count_plan_builds(monkeypatch):
+    """Record each _bluestein_plan build as weak references to its arrays."""
+    builds = []
+
+    def counting(*args):
+        plan = _bluestein_plan(*args)
+        builds.append([weakref.ref(arr) for arr in plan])
+        return plan
+
+    monkeypatch.setattr(propagator, "_bluestein_plan", counting)
+    return builds
+
+
+def assert_rows_equal_single_calls(n, k, seed, method, m):
+    rng = np.random.default_rng(seed)
+    grid = sl.Grid1D(L=50.0, N=n)
+    sides = rng.choice(["physical", "spectral"], size=k)
+    fields = [sl.ComplexField(grid, [1, 1j] @ rng.normal(size=(2, n)), side) for side in sides]
+    targets = np.linspace(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), m)
+    rows = sl.spectrum_at(fields, targets, method)
+    assert len(rows) == k
+    for f, row in zip(fields, rows):
+        assert np.array_equal(row, sl.spectrum_at(f, targets, method))
+
+
+class TestSeveralFields:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(4, 200).map(lambda h: 2 * h),
+        k=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        method=st.sampled_from(["direct", "czt"]),
+        m=st.integers(2, 600),
+    )
+    def test_rows_equal_single_calls(self, n, k, seed, method, m):
+        assert_rows_equal_single_calls(n, k, seed, method, m)
+
+    # from 2^14 points numpy reuses large temporaries in place, which changes
+    # the operand order of the products
+    @pytest.mark.parametrize("method, m", [("direct", 40), ("czt", 1 << 14)])
+    def test_rows_equal_single_calls_large(self, method, m):
+        assert_rows_equal_single_calls(1 << 14, 3, 12, method, m)
+
+    def test_single_field_gives_one_row(self):
+        grid = sl.Grid1D(L=50.0, N=64)
+        f = smooth_random(grid, 4)
+        assert sl.spectrum_at(f, grid.xi[:5]).shape == (5,)
+        rows = sl.spectrum_at([f], grid.xi[:5])
+        assert len(rows) == 1 and rows[0].shape == (5,)
+
+    def test_rejects_mixed_grids_and_no_fields(self):
+        f = smooth_random(sl.Grid1D(L=50.0, N=64), 4)
+        g = smooth_random(sl.Grid1D(L=50.0, N=128), 4)
+        with pytest.raises(sl.GridMismatchError):
+            sl.spectrum_at([f, g], np.array([0.0, 1.0]))
+        with pytest.raises(ValueError):
+            sl.spectrum_at([], np.array([0.0, 1.0]))
+
+
 class TestBluesteinPlan:
-    def test_interleaved_geometries_and_fields(self):
+    def test_interleaved_geometries_and_fields(self, monkeypatch):
         grid = sl.Grid1D(L=50.0, N=1024)
         fields = [smooth_random(grid, 9), smooth_random(grid, 10)]
-        _bluestein_plan.cache_clear()
+        builds = count_plan_builds(monkeypatch)
         results = []
         for t in (1.0, 3.0, 1.0):
             targets = grid.x / (2.0 * t)
-            for f in fields:
-                vals = sl.spectrum_at(f, targets, method="czt")
-                ref = sl.spectrum_at(f, targets, method="direct")
-                assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
-                results.append(vals)
-        # first and third geometry agree bit for bit; each field reused its plan
-        assert all(np.array_equal(a, b) for a, b in zip(results[:2], results[4:]))
-        info = _bluestein_plan.cache_info()
-        assert (info.hits, info.misses) == (3, 3)
+            vals = np.array(sl.spectrum_at(fields, targets, method="czt"))
+            ref = np.array(sl.spectrum_at(fields, targets, method="direct"))
+            assert vals.shape == (2, grid.N)
+            assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
+            results.append(vals)
+        # first and third geometry agree bit for bit; both fields shared a plan
+        assert np.array_equal(results[0], results[2])
+        assert len(builds) == 3
 
     def test_plan_arrays_read_only(self):
         plan = _bluestein_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
@@ -158,12 +218,12 @@ class TestBluesteinPlan:
             with pytest.raises(ValueError):
                 arr[0] = 0.0
 
-    def test_cache_holds_one_geometry(self):
-        _bluestein_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
-        _bluestein_plan(64, -3.2, 0.1, -1.0, 0.05, 40)
-        info = _bluestein_plan.cache_info()
-        assert info.maxsize == 1
-        assert info.currsize == 1
+    def test_no_plan_survives_the_call(self, monkeypatch):
+        grid = sl.Grid1D(L=50.0, N=256)
+        builds = count_plan_builds(monkeypatch)
+        sl.spectrum_at([smooth_random(grid, 9), smooth_random(grid, 10)], grid.x / 2.0, method="czt")
+        assert len(builds) == 1
+        assert all(ref() is None for ref in builds[0])
 
 
 class TestRayEngine:
@@ -199,16 +259,38 @@ class TestRayEngine:
         assert np.array_equal(plan.kernel_hat, fft(kernel, next_fast_len(n + span.size - 1)))
 
     def test_old_plan_dropped_before_next_is_built(self, monkeypatch):
-        old = weakref.ref(_bluestein_plan(64, -3.2, 0.1, -2.0, 0.05, 40).kernel_hat)
+        grid = sl.Grid1D(L=50.0, N=256)
+        f = smooth_random(grid, 9)
+        builds = count_plan_builds(monkeypatch)
+        sl.spectrum_at(f, grid.x / 2.0, method="czt")
         seen = []
 
         def watching_fft(*args, **kwargs):
-            seen.append(old() is None)
+            seen.append(all(ref() is None for ref in builds[0]))
             return fft(*args, **kwargs)
 
         monkeypatch.setattr(propagator, "fft", watching_fft)
-        _bluestein_plan(64, -3.2, 0.1, -1.0, 0.05, 40)
+        sl.spectrum_at(f, grid.x / 6.0, method="czt")
+        assert len(builds) == 2
         assert seen and all(seen)
+
+    def test_row_buffer_dropped_before_next_row(self, monkeypatch):
+        grid = sl.Grid1D(L=50.0, N=256)
+        fields = [smooth_random(grid, s) for s in (9, 10, 11)]
+        outputs = []
+        alive = []
+
+        def watching_fft(*args, **kwargs):
+            alive.append(sum(ref() is not None for ref in outputs))
+            out = fft(*args, **kwargs)
+            outputs.append(weakref.ref(out))
+            return out
+
+        monkeypatch.setattr(propagator, "fft", watching_fft)
+        sl.spectrum_at(fields, grid.x / 2.0, method="czt")
+        # the plan's kernel transform, then one per row; only the kernel is
+        # alive when a row is transformed
+        assert alive == [0, 1, 1, 1]
 
 
 class TestLeadingSplit:

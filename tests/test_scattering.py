@@ -1,9 +1,12 @@
 import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 import scatterlab as sl
+import scatterlab.propagator as propagator
 import scatterlab.scattering as scattering
 from scatterlab.remainder import RESONANT_COEFF
 from scatterlab.scattering import PhaseAccumulator, _cauchy_pairs
@@ -140,6 +143,19 @@ class TestReducedOde:
         traj = sl.evolve(sl.PairState(u1, zero, 1.0), 21.0, 0.05, sched, params)
         assert sl.reduced_ode_residual(traj, 5) < 1e-11
 
+    def test_profile_spectra_once_per_snapshot(self, monkeypatch):
+        traj = zero_trajectory()
+        _, acc_v = sl.accumulate_phase(traj)
+        calls = []
+
+        def counting(state):
+            calls.append(state.t)
+            return sl.profile_spectra(state)
+
+        monkeypatch.setattr(scattering, "profile_spectra", counting)
+        sl.reduced_ode_residual(traj, 2, acc_v)
+        assert calls == [s.t for s in traj.snapshots[1:4]]
+
     def test_boundary_index_rejected(self, richardson_traj):
         with pytest.raises(ValueError):
             sl.reduced_ode_residual(richardson_traj, 0)
@@ -254,9 +270,7 @@ class TestAsymptoticResidual:
         series_f, series_g, _, _ = sl.corrected_spectra(traj)
         est = sl.estimate_limit(series_f, n=1)
         _, gamma = sl.phase_offset(series_f)
-        from scatterlab.scattering import _with_gamma
-
-        est = _with_gamma(est, gamma)
+        est = replace(est, gamma_limit=gamma)
         assert sl.asymptotic_residual(traj, est, est, traj.times[-1], "u") == 0.0
 
     def test_range_guard(self):
@@ -264,10 +278,8 @@ class TestAsymptoticResidual:
         series_f, series_g, _, _ = sl.corrected_spectra(traj)
         est_f = sl.estimate_limit(series_f, n=1)
         est_g = sl.estimate_limit(series_g, n=1)
-        from scatterlab.scattering import _with_gamma
-
-        est_f = _with_gamma(est_f, sl.phase_offset(series_f)[1])
-        est_g = _with_gamma(est_g, sl.phase_offset(series_g)[1])
+        est_f = replace(est_f, gamma_limit=sl.phase_offset(series_f)[1])
+        est_g = replace(est_g, gamma_limit=sl.phase_offset(series_g)[1])
         with pytest.raises(sl.FrequencyRangeError, match="enlarge N"):
             sl.asymptotic_residual(traj, est_f, est_g, 1.0, "u")
 
@@ -279,27 +291,39 @@ class TestRayAnalysis:
         usable = np.isfinite(analysis.asym_u)
         assert np.count_nonzero(usable) >= 2
         assert np.array_equal(usable, np.isfinite(analysis.asym_v))
-        fresh = [scattering._with_gamma(e, e.gamma_limit) for e in (analysis.est_u, analysis.est_v)]
-        assert fresh[0]._rays is not analysis.est_u._rays
         for i in np.nonzero(usable)[0]:
             t = traj.times[i]
-            for ests in ((analysis.est_u, analysis.est_v), fresh):
-                assert sl.asymptotic_residual(traj, *ests, t, "u") == analysis.asym_u[i]
-                assert sl.asymptotic_residual(traj, *ests, t, "v") == analysis.asym_v[i]
+            assert sl.asymptotic_residual(traj, analysis.est_u, analysis.est_v, t, "u") == analysis.asym_u[i]
+            assert sl.asymptotic_residual(traj, analysis.est_u, analysis.est_v, t, "v") == analysis.asym_v[i]
 
     def test_four_spectra_per_time(self, monkeypatch):
         traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
-        calls = []
+        plans = []
+        calls = []  # (rows, plans built, earlier results still alive)
+        spectra = []
 
-        def counting(field, targets, method="auto"):
-            calls.append(targets.size)
-            return sl.spectrum_at(field, targets, method)
+        def counting_plan(*args):
+            plans.append(args)
+            return plan(*args)
 
+        def counting(fields, targets, method="auto"):
+            alive = sum(ref() is not None for ref in spectra)
+            built = len(plans)
+            out = sl.spectrum_at(fields, targets, method)
+            calls.append((len(out), len(plans) - built, alive))
+            spectra.extend(weakref.ref(row) for row in out)
+            return out
+
+        plan = propagator._bluestein_plan
+        monkeypatch.setattr(propagator, "_bluestein_plan", counting_plan)
         monkeypatch.setattr(scattering, "spectrum_at", counting)
         analysis = sl.analyze_trajectory(traj)
         usable = np.count_nonzero(np.isfinite(analysis.asym_u))
         assert usable >= 2
-        assert len(calls) == 4 * usable
+        # four rows on one plan per time; the previous time's are gone first
+        assert calls == [(4, 1, 0)] * usable
+        # and the analysis holds none of them
+        assert all(ref() is None for ref in spectra)
 
     def test_decoupled_case_has_no_edge_warning(self):
         # v = 0 and u free: f - W is transform round-off, whose edge is noise
