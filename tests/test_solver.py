@@ -3,6 +3,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import scatterlab as sl
 from scatterlab import solver
@@ -78,6 +80,30 @@ class TestNonlinearSubstep:
         out = sl.nonlinear_substep(sl.PairState(u, v, 1.0), 0.7)
         assert np.max(np.abs(np.abs(out.u.samples) - np.abs(u.samples))) < 1e-15
         assert np.max(np.abs(np.abs(out.v.samples) - np.abs(v.samples))) < 1e-15
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestRotate:
+    # numpy elides temporaries of 256 KiB and more (16384 complex points),
+    # which changes the operand order of a complex product; sizes straddle it
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([16383, 16384, 16385]),
+        h=st.floats(1e-7, 3.0),
+        top=st.floats(0.0, 1e8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_bitwise_complex_exp(self, n, h, top, seed):
+        rng = np.random.default_rng(seed)
+        m = rng.random(n) * top
+        m[::5] = 0.0
+        m[1::5] = rng.random(m[1::5].size) * np.finfo(float).tiny  # subnormal
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        want = a * np.exp(-1j * h * m)
+        assert np.array_equal(bits(solver._rotate(a, h, m)), bits(want))
 
 
 class TestStrangStep:
@@ -206,14 +232,17 @@ class TestEvolve:
 
 
 class TestThreadedKernel:
-    @pytest.mark.parametrize("N, L", [(256, 80.0), (2**15, 2400.0)])
+    @pytest.mark.parametrize(
+        "N, L", [(256, 80.0), (4096, 400.0), (2**15, 2400.0), (2**18, 2400.0)]
+    )
     def test_matches_sequential_loop_bitwise(self, N, L):
-        # about 20 steps over two segments, the second ending in a short step
+        # two segments, the second ending in a short step: about 20 steps,
+        # or 5 at 2^18
         grid = sl.Grid1D(L=L, N=N)
         u1, v1 = sl.initial_pair(grid, "modulated", 0.2, 3.0, carrier=0.5)
         params = sl.AnalysisParams.make(epsilon=0.2)
-        times = [1.0, 1.5, 2.03]
-        traj = sl.evolve(sl.PairState(u1, v1, 1.0), 2.03, 0.05, times, params)
+        times = [1.0, 1.5, 2.03] if N < 2**18 else [1.0, 1.1, 1.23]
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), times[-1], 0.05, times, params)
         oracle = sequential_evolve(u1.samples, v1.samples, grid, times, 0.05)
         assert len(traj.snapshots) == len(oracle) == 3
         for s, (u, v) in zip(traj.snapshots, oracle):
@@ -250,6 +279,49 @@ class TestThreadedKernel:
         with pytest.raises(BoundaryWrapError):
             run(grid, u1, v1, 30.0, 0.05, check_domain=False, eps=0.5)
         assert threading.active_count() == before
+
+
+class TestInputsUntouched:
+    """The kernel transforms in place only buffers it made itself."""
+
+    @pytest.mark.parametrize("N", [256, 2**14])
+    def test_step_fields(self, N):
+        grid = sl.Grid1D(L=80.0, N=N)
+        u1, v1 = sl.initial_pair(grid, "modulated", 0.2, 3.0, carrier=0.5)
+        # writable copies, as evolve hands the kernel at each segment's start
+        u, v = u1.samples.copy(), v1.samples.copy()
+        for steps in ([0.05], [0.05, 0.05, 0.02]):
+            solver._step_fields(u, v, grid, steps)
+            assert np.array_equal(bits(u), bits(u1.samples))
+            assert np.array_equal(bits(v), bits(v1.samples))
+
+    def test_strang_step(self):
+        grid = sl.Grid1D(L=80.0, N=256)
+        u1, v1 = small_pair(grid)
+        state = sl.PairState(u1, v1, 1.0)
+        u0, v0 = u1.samples.copy(), v1.samples.copy()
+        sl.strang_step(state, 0.05)
+        assert np.array_equal(bits(state.u.samples), bits(u0))
+        assert np.array_equal(bits(state.v.samples), bits(v0))
+
+    def test_evolve_keeps_initial_state_and_snapshots(self):
+        # each stored snapshot equals the end of a run that stops there, so a
+        # later segment has not written into it
+        grid = sl.Grid1D(L=80.0, N=256)
+        u1, v1 = sl.initial_pair(grid, "modulated", 0.2, 3.0, carrier=0.5)
+        u0, v0 = u1.samples.copy(), v1.samples.copy()
+        params = sl.AnalysisParams.make(epsilon=0.2)
+        times = [1.0, 1.3, 1.62, 2.0]
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), times[-1], 0.05, times, params)
+        first = traj.snapshots[0]
+        for u, v in ((u1.samples, v1.samples), (first.u.samples, first.v.samples)):
+            assert np.array_equal(bits(u), bits(u0))
+            assert np.array_equal(bits(v), bits(v0))
+        for k in range(1, len(times)):
+            alone = sl.evolve(sl.PairState(u1, v1, 1.0), times[k], 0.05, times[: k + 1], params)
+            got, want = traj.snapshots[k], alone.snapshots[-1]
+            assert np.array_equal(bits(got.u.samples), bits(want.u.samples))
+            assert np.array_equal(bits(got.v.samples), bits(want.v.samples))
 
 
 class TestScheduleAndData:
