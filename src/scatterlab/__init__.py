@@ -59,10 +59,8 @@ from .remainder import (
 from .scattering import (
     PhaseAccumulator,
     ScatteringEstimate,
-    accumulate_phase,
     analyze_trajectory,
     apply_phase_correction,
-    asymptotic_residual,
     corrected_spectra,
     estimate_limit,
     interpolation_pairs,

@@ -1,12 +1,13 @@
 """
 Plain-text experiment configuration: one `section.key = value` per line,
 `#` comments (at the start of a line or after whitespace, so a value such as
-`runs/#3` keeps its `#`).  Exact key set; unknown or repeated keys are a hard
-error.
+`runs/#3` keeps its `#`).  Exact key set; unknown or repeated keys and
+non-finite numbers are a hard error.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -125,6 +126,8 @@ def parse_config(path) -> ExperimentConfig:
             raise
         except ValueError as exc:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
+        if kind is float and not math.isfinite(values[key]):
+            raise ConfigError(f"key {key!r}: {raw!r} is not finite")
     missing = [k for k in _REQUIRED if k not in values]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")

@@ -7,7 +7,7 @@ by the weighted estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -85,40 +85,6 @@ def _log_trapezoid_rows(times: np.ndarray, squares: np.ndarray) -> np.ndarray:
     return out
 
 
-def accumulate_phase(traj: Trajectory) -> tuple[PhaseAccumulator, PhaseAccumulator]:
-    """
-    Build both phase accumulators for a trajectory: the first integrates
-    |uhat|^2/s (driving the correction applied to ghat), the second |vhat|^2/s
-    (driving the correction applied to fhat).  The free group is unimodular,
-    so |fhat| = |uhat| and |ghat| = |vhat| pointwise.
-    """
-    return _accumulate(traj, [profile_spectra(state) for state in traj.snapshots])
-
-
-def _accumulate(traj: Trajectory, spectra: list) -> tuple[PhaseAccumulator, PhaseAccumulator]:
-    """accumulate_phase from the snapshots' profile spectra (fhat, ghat); one
-    component's squared moduli are held at a time."""
-    if len(traj.snapshots) < 2:
-        raise ValueError("phase accumulation needs at least 2 snapshots")
-    times = traj.times
-    if np.any(np.diff(times) <= 0):
-        raise ValueError("snapshot times must be strictly increasing")
-    sq = np.empty((len(times), traj.grid.N))
-    err = 0.0
-    vals = []
-    for side in (0, 1):
-        for m, pair in enumerate(spectra):
-            sq[m] = np.abs(pair[side].samples) ** 2
-        full = _log_trapezoid_rows(times, sq)
-        vals.append(full)
-        if len(times) >= 5:
-            coarse = _log_trapezoid_rows(times[::2], sq[::2])
-            err = max(err, float(np.max(np.abs(full[::2] - coarse))) / 3.0)
-    acc_u = PhaseAccumulator(traj.grid, times, vals[0], "u", err)
-    acc_v = PhaseAccumulator(traj.grid, times, vals[1], "v", err)
-    return acc_u, acc_v
-
-
 def apply_phase_correction(f_hat: ComplexField, acc: PhaseAccumulator, t: float) -> ComplexField:
     """
     Multiply a spectral profile by the unimodular correction built from the
@@ -134,12 +100,32 @@ def corrected_spectra(traj: Trajectory):
     """
     Per-snapshot phase-corrected spectra for both components:
     w_f = fhat * B(vhat), w_g = ghat * B(uhat).  Returns (series_f, series_g,
-    acc_u, acc_v) with each series a list of (t, ComplexField).  Each
+    acc_u, acc_v) with each series a list of (t, ComplexField); acc_u
+    integrates |uhat|^2/s (driving the correction applied to ghat), acc_v
+    |vhat|^2/s (driving the one applied to fhat).  The free group is
+    unimodular, so |fhat| = |uhat| and |ghat| = |vhat| pointwise.  Each
     snapshot's profile spectra are computed once and feed both the phase
-    accumulation and the correction.
+    accumulation and the correction; one component's squared moduli are held
+    at a time.
     """
+    if len(traj.snapshots) < 2:
+        raise ValueError("phase accumulation needs at least 2 snapshots")
+    times = traj.times
     spectra = [profile_spectra(state) for state in traj.snapshots]
-    acc_u, acc_v = _accumulate(traj, spectra)
+    sq = np.empty((len(times), traj.grid.N))
+    err = 0.0
+    vals = []
+    for side in (0, 1):
+        for m, pair in enumerate(spectra):
+            sq[m] = np.abs(pair[side].samples) ** 2
+        vals.append(_log_trapezoid_rows(times, sq))
+        if len(times) >= 5:
+            coarse = _log_trapezoid_rows(times[::2], sq[::2])
+            err = max(err, float(np.max(np.abs(vals[side][::2] - coarse))) / 3.0)
+            del coarse
+    del sq  # the correction loop below holds neither
+    acc_u = PhaseAccumulator(traj.grid, times, vals[0], "u", err)
+    acc_v = PhaseAccumulator(traj.grid, times, vals[1], "v", err)
     series_f = []
     series_g = []
     for state in traj.snapshots:
@@ -158,7 +144,7 @@ def reduced_ode_residual(traj: Trajectory, m: int, acc_v: PhaseAccumulator | Non
     if not 1 <= m <= len(traj.snapshots) - 2:
         raise ValueError("m must be an interior snapshot index")
     if acc_v is None:
-        _, acc_v = accumulate_phase(traj)
+        acc_v = corrected_spectra(traj)[3]
     states = traj.snapshots[m - 1 : m + 2]
     spectra = [profile_spectra(state) for state in states]
     w = [apply_phase_correction(f_hat, acc_v, s.t).samples for s, (f_hat, _) in zip(states, spectra)]
@@ -175,10 +161,13 @@ def reduced_ode_residual(traj: Trajectory, m: int, acc_v: PhaseAccumulator | Non
 
 @dataclass(frozen=True)
 class ScatteringEstimate:
-    """Late-time limit of a phase-corrected spectrum and its convergence fits."""
+    """Late-time limit W of a phase-corrected spectrum, the limit Gamma of its
+    phase offset, each snapshot's distance to W and the convergence fits."""
 
     W: ComplexField
-    gamma_limit: np.ndarray | None
+    gamma_limit: np.ndarray
+    diff_linf: np.ndarray  # per snapshot: max norm of w(t) - W
+    diff_h0n: np.ndarray  # per snapshot: H^{0,n} norm of w(t) - W
     fit_linf: RateFit | None
     fit_h0n: RateFit | None
     cauchy: tuple[tuple[float, float], ...]
@@ -199,10 +188,11 @@ def _cauchy_pairs(series) -> list[tuple[float, float]]:
 
 def estimate_limit(series, n: int) -> ScatteringEstimate:
     """
-    Anchor the limit estimate W at the last snapshot and quantify convergence
-    by fitting the max-norm and weighted-norm differences over t <= t_max/4
-    (the anchor's trivial zero is excluded).  Dyadic Cauchy differences are
-    reported alongside as the anchor-free diagnostic.
+    Anchor the limit estimate W at the last snapshot and Gamma at the phase
+    offset's last value, measure every snapshot's distance to W, and quantify
+    convergence by fitting the max-norm and weighted-norm distances over
+    t <= t_max/4 (the anchor's trivial zero is excluded).  Dyadic Cauchy
+    differences are reported alongside as the anchor-free diagnostic.
     """
     if len(series) < 4:
         raise ValueError("limit estimation needs at least 4 snapshots")
@@ -214,27 +204,26 @@ def estimate_limit(series, n: int) -> ScatteringEstimate:
     w_last = series[-1][1]
     w_peak = norm_Linf(w_last)
     t_max = times[-1]
-    fit_ts = []
-    fit_linf_vals = []
-    fit_h0n_vals = []
-    for t, f in series:
-        if t > t_max / 4.0:
-            continue
+    diff_linf = np.empty(len(series))
+    diff_h0n = np.empty(len(series))
+    for i, (_, f) in enumerate(series):
         diff = ComplexField(f.grid, f.samples - w_last.samples, SPECTRAL)
-        fit_ts.append(t)
-        fit_linf_vals.append(norm_Linf(diff))
-        fit_h0n_vals.append(norm_H0n(diff, n, scale=w_peak))
+        diff_linf[i] = norm_Linf(diff)
+        diff_h0n[i] = norm_H0n(diff, n, scale=w_peak)
+    fit = times <= t_max / 4.0
     try:
-        fit_linf = fit_rate(fit_ts, fit_linf_vals)
+        fit_linf = fit_rate(times[fit], diff_linf[fit])
     except ValueError:
         fit_linf = None
     try:
-        fit_h0n = fit_rate(fit_ts, fit_h0n_vals)
+        fit_h0n = fit_rate(times[fit], diff_h0n[fit])
     except ValueError:
         fit_h0n = None
     return ScatteringEstimate(
         W=w_last,
-        gamma_limit=None,
+        gamma_limit=phase_offset(series)[1],
+        diff_linf=diff_linf,
+        diff_h0n=diff_h0n,
         fit_linf=fit_linf,
         fit_h0n=fit_h0n,
         cauchy=tuple(_cauchy_pairs(series)),
@@ -260,42 +249,15 @@ def phase_offset(series) -> tuple[list[tuple[float, np.ndarray]], np.ndarray]:
     return out, out[-1][1]
 
 
-def asymptotic_residual(
-    traj: Trajectory,
-    est_u: ScatteringEstimate,
-    est_v: ScatteringEstimate,
-    t: float,
-    component: str = "u",
-) -> float:
-    """
-    Max-norm distance between the stored solution at time t and the closed
-    form (2it)^{-1/2} W(x/2t) exp(i x^2/4t - i c (|W_other|^2 ln t + Gamma))
-    with c = RESONANT_COEFF, everything evaluated along the rays x/2t by
-    band-limited interpolation.
-    """
-    if component not in ("u", "v"):
-        raise ValueError("component must be 'u' or 'v'")
-    times = traj.times
-    hits = np.nonzero(np.abs(times - t) <= 1e-9 * max(1.0, t))[0]
-    if hits.size == 0:
-        raise ValueError(f"time {t!r} is not a snapshot time")
-    state = traj.snapshots[int(hits[0])]
-    own, other = (est_u, est_v) if component == "u" else (est_v, est_u)
-    if other.gamma_limit is None:
-        raise ValueError("the other component's estimate is missing gamma_limit")
-    grid = traj.grid
-    targets = _ray_targets(grid, t)
-    gamma_other = ComplexField(grid, other.gamma_limit, SPECTRAL)
-    w_own, w_other, gamma_at = spectrum_at([own.W, other.W, gamma_other], targets)
-    actual = state.u if component == "u" else state.v
-    return _closed_form_gap(actual, t, w_own, w_other, gamma_at)
-
-
 def _closed_form_gap(
     actual: ComplexField, t: float, w_own: np.ndarray, w_other: np.ndarray, gamma_other: np.ndarray
 ) -> float:
-    """asymptotic_residual of the field actual at time t, from W_own, W_other
-    and Gamma_other evaluated along the rays x/2t."""
+    """
+    Max-norm distance between the field actual at time t and the closed form
+    (2it)^{-1/2} W(x/2t) exp(i x^2/4t - i c (|W_other|^2 ln t + Gamma))
+    with c = RESONANT_COEFF, from W_own, W_other and Gamma_other evaluated
+    along the rays x/2t by band-limited interpolation.
+    """
     phase = actual.grid.x**2 / (4.0 * t) - RESONANT_COEFF * (
         np.abs(w_other) ** 2 * np.log(t) + gamma_other.real
     )
@@ -364,17 +326,11 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
     window or a finer frequency grid degrade to None/NaN rather than fail."""
     series_f, series_g, acc_u, acc_v = corrected_spectra(traj)
     times = traj.times
-    n = traj.params.n
     try:
-        est_u = estimate_limit(series_f, n)
-        est_v = estimate_limit(series_g, n)
-        _, gamma_u = phase_offset(series_f)
-        _, gamma_v = phase_offset(series_g)
-        est_u = replace(est_u, gamma_limit=gamma_u)
-        est_v = replace(est_v, gamma_limit=gamma_v)
+        est_u = estimate_limit(series_f, traj.params.n)
+        est_v = estimate_limit(series_g, traj.params.n)
     except ValueError:
-        est_u = None
-        est_v = None
+        est_u = est_v = None
 
     m = len(times)
     u_linf = np.array([norm_Linf(s.u) for s in traj.snapshots])
@@ -382,33 +338,22 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
     u_mass = np.array([norm_L2(s.u) ** 2 for s in traj.snapshots])
     v_mass = np.array([norm_L2(s.v) ** 2 for s in traj.snapshots])
     nanrow = np.full(m, np.nan)
-    wf_dl, wg_dl, wf_dh, wg_dh = nanrow.copy(), nanrow.copy(), nanrow.copy(), nanrow.copy()
     asym_u, asym_v = nanrow.copy(), nanrow.copy()
-    if est_u is not None and est_v is not None:
-        peak_u = norm_Linf(est_u.W)
-        peak_v = norm_Linf(est_v.W)
-        for i in range(m):
-            df = series_f[i][1].samples - est_u.W.samples
-            dg = series_g[i][1].samples - est_v.W.samples
-            wf_dl[i] = np.max(np.abs(df))
-            wg_dl[i] = np.max(np.abs(dg))
-            wf_dh[i] = norm_H0n(ComplexField(traj.grid, df, SPECTRAL), n, scale=peak_u)
-            wg_dh[i] = norm_H0n(ComplexField(traj.grid, dg, SPECTRAL), n, scale=peak_v)
-        if with_asymptotic:
-            # transformed once; every snapshot time evaluates all four on its rays
-            limits = [fourier_inverse(est_u.W), fourier_inverse(est_v.W)] + [
-                fourier_inverse(ComplexField(traj.grid, e.gamma_limit, SPECTRAL)) for e in (est_u, est_v)
-            ]
-            for i, t in enumerate(times):
-                try:
-                    targets = _ray_targets(traj.grid, t)
-                except FrequencyRangeError:
-                    continue
-                w_u, w_v, ray_gamma_u, ray_gamma_v = spectrum_at(limits, targets)
-                state = traj.snapshots[i]
-                asym_u[i] = _closed_form_gap(state.u, t, w_u, w_v, ray_gamma_v)
-                asym_v[i] = _closed_form_gap(state.v, t, w_v, w_u, ray_gamma_u)
-                del w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
+    if est_u is not None and with_asymptotic:
+        # transformed once; every snapshot time evaluates all four on its rays
+        limits = [fourier_inverse(est_u.W), fourier_inverse(est_v.W)] + [
+            fourier_inverse(ComplexField(traj.grid, e.gamma_limit, SPECTRAL)) for e in (est_u, est_v)
+        ]
+        for i, t in enumerate(times):
+            try:
+                targets = _ray_targets(traj.grid, t)
+            except FrequencyRangeError:
+                continue
+            w_u, w_v, ray_gamma_u, ray_gamma_v = spectrum_at(limits, targets)
+            state = traj.snapshots[i]
+            asym_u[i] = _closed_form_gap(state.u, t, w_u, w_v, ray_gamma_v)
+            asym_v[i] = _closed_form_gap(state.v, t, w_v, w_u, ray_gamma_u)
+            del w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
     return TrajectoryAnalysis(
         traj=traj,
         times=times,
@@ -422,10 +367,10 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
         v_linf=v_linf,
         u_mass=u_mass,
         v_mass=v_mass,
-        wf_diff_linf=wf_dl,
-        wg_diff_linf=wg_dl,
-        wf_diff_h0n=wf_dh,
-        wg_diff_h0n=wg_dh,
+        wf_diff_linf=nanrow if est_u is None else est_u.diff_linf,
+        wg_diff_linf=nanrow if est_u is None else est_v.diff_linf,
+        wf_diff_h0n=nanrow if est_u is None else est_u.diff_h0n,
+        wg_diff_h0n=nanrow if est_u is None else est_v.diff_h0n,
         asym_u=asym_u,
         asym_v=asym_v,
     )

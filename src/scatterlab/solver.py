@@ -72,7 +72,6 @@ class Trajectory:
     params: AnalysisParams
     snapshots: tuple[PairState, ...]
     dt: float
-    scheme_order: int = 2
 
     def __post_init__(self) -> None:
         times = self.times

@@ -58,8 +58,8 @@ class Grid1D:
     N: int
 
     def __post_init__(self) -> None:
-        if self.L <= 0:
-            raise ValueError("domain length L must be positive")
+        if not 0 < self.L < np.inf:
+            raise ValueError(f"domain length L must be positive and finite, got {self.L!r}")
         if self.N < 8 or self.N % 2 != 0:
             raise ValueError("point count N must be even and >= 8")
         dx = self.L / self.N
@@ -181,6 +181,17 @@ def norm_L1(field: ComplexField) -> float:
     return float(w * np.sum(np.abs(field.samples)))
 
 
+def _weighted_l2_sum(mag2: np.ndarray, coord: np.ndarray, w: float, n: int) -> float:
+    """sum_{i=0..n} sqrt(w * sum(coord^{2i} * mag2)), the loop shared by the
+    derivative- and weight-counting Sobolev norms."""
+    total = 0.0
+    weight = np.ones_like(coord)
+    for _ in range(n + 1):
+        total += float(np.sqrt(w * np.sum(weight**2 * mag2)))
+        weight = weight * coord
+    return total
+
+
 def norm_Hn0(field: ComplexField, n: int) -> float:
     """
     Derivative-counting Sobolev norm of the underlying function:
@@ -194,14 +205,7 @@ def norm_Hn0(field: ComplexField, n: int) -> float:
     w = spec.grid.dxi
     coord = np.abs(spec.grid.xi).copy()
     coord[0] = 0.0  # Nyquist derivative multiplier is zeroed
-    mag2 = np.abs(spec.samples) ** 2
-    total = 0.0
-    weight = np.ones_like(coord)
-    for i in range(n + 1):
-        if i > 0:
-            weight = weight * coord
-        total += float(np.sqrt(w * np.sum(weight**2 * mag2)))
-    return total
+    return _weighted_l2_sum(np.abs(spec.samples) ** 2, coord, w, n)
 
 
 def norm_H0n(field: ComplexField, n: int, scale: float | None = None) -> float:
@@ -225,14 +229,7 @@ def norm_H0n(field: ComplexField, n: int, scale: float | None = None) -> float:
             stacklevel=2,
         )
     w = field.grid.weight(field.side)
-    coord = np.abs(field.grid.coordinate(field.side))
-    total = 0.0
-    weight = np.ones_like(coord)
-    for i in range(n + 1):
-        if i > 0:
-            weight = weight * coord
-        total += float(np.sqrt(w * np.sum(weight**2 * mag**2)))
-    return total
+    return _weighted_l2_sum(mag**2, np.abs(field.grid.coordinate(field.side)), w, n)
 
 
 @dataclass(frozen=True)

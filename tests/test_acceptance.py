@@ -122,8 +122,8 @@ def test_representation_equivalence():
 def test_reduced_equation_richardson(richardson_traj):
     fine = richardson_traj
     coarse = coarsen(fine)
-    acc_f = sl.accumulate_phase(fine)[1]
-    acc_c = sl.accumulate_phase(coarse)[1]
+    acc_f = sl.corrected_spectra(fine)[3]
+    acc_c = sl.corrected_spectra(coarse)[3]
     ratios = []
     for m_c in (4, 6, 8):
         r_c = sl.reduced_ode_residual(coarse, m_c, acc_c)

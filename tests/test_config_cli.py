@@ -3,7 +3,7 @@ import pytest
 import scatterlab as sl
 import scatterlab.cli as cli
 from scatterlab.cli import main, oracle_cross_check
-from scatterlab.config import ConfigError
+from scatterlab.config import _SPEC, ConfigError
 
 GOOD_CONFIG = """
 # quick coupled run
@@ -70,6 +70,15 @@ class TestConfigParsing:
         cfg = sl.parse_config(write_config(tmp_path, text))
         assert cfg.grid_N == 4096
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [k for k, kind in _SPEC.items() if kind is float])
+    def test_non_finite_float_rejected(self, tmp_path, key, raw):
+        kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(key + " ")]
+        path = write_config(tmp_path, "\n".join(kept) + f"\n{key} = {raw}\n")
+        with pytest.raises(ConfigError) as err:
+            sl.parse_config(path)
+        assert str(err.value) == f"key {key!r}: {raw!r} is not finite"
+
     def test_bad_shape(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG.replace("gaussian", "square"))
         with pytest.raises(ConfigError, match="data.shape"):
@@ -118,6 +127,12 @@ class TestCli:
         rc = main(["decay", "--config", str(path), "--outdir", str(tmp_path / "out")])
         assert rc == 2
         assert "duplicate config key 'grid.N'" in capsys.readouterr().err
+
+    def test_non_finite_value_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("solver.dt = 0.02", "solver.dt = nan"))
+        rc = main(["decay", "--config", str(path), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "key 'solver.dt': 'nan' is not finite" in capsys.readouterr().err
 
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["decay", "--config", str(tmp_path / "nope.cfg")])

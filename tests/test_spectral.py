@@ -17,6 +17,13 @@ def random_field(grid, seed, side="physical"):
     return sl.ComplexField(grid, samples, side)
 
 
+class TestGrid:
+    @pytest.mark.parametrize("L", [0.0, -1.0, float("nan"), float("inf")])
+    def test_bad_length_rejected(self, L):
+        with pytest.raises(ValueError, match="positive and finite"):
+            sl.Grid1D(L=L, N=32)
+
+
 class TestTransform:
     def test_zero_maps_to_zero(self):
         grid = sl.Grid1D(L=10.0, N=32)
