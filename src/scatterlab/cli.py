@@ -55,7 +55,7 @@ def _fit_window(analysis, lo: float):
     return analysis.times[mask], mask
 
 
-def cmd_simulate(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+def cmd_simulate(cfg, experiment, outdir: Path) -> list[str]:
     traj = _run_trajectory(cfg, experiment)
     if cfg.save_snapshots:
         save_trajectory(traj, outdir / "trajectory.bin")
@@ -71,7 +71,7 @@ def cmd_simulate(cfg, experiment, outdir: Path, seed: int) -> list[str]:
     ]
 
 
-def cmd_decay(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+def cmd_decay(cfg, experiment, outdir: Path) -> list[str]:
     traj = _run_trajectory(cfg, experiment)
     analysis = analyze_trajectory(traj, with_asymptotic=False)
     write_snapshot_csv(outdir / "snapshots.csv", analysis)
@@ -89,7 +89,7 @@ def cmd_decay(cfg, experiment, outdir: Path, seed: int) -> list[str]:
     return lines
 
 
-def cmd_scattering(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+def cmd_scattering(cfg, experiment, outdir: Path) -> list[str]:
     traj = _run_trajectory(cfg, experiment)
     analysis = analyze_trajectory(traj, with_asymptotic=False)
     write_snapshot_csv(outdir / "snapshots.csv", analysis)
@@ -113,7 +113,7 @@ def cmd_scattering(cfg, experiment, outdir: Path, seed: int) -> list[str]:
     return lines
 
 
-def cmd_remainder(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+def cmd_remainder(cfg, experiment, outdir: Path) -> list[str]:
     traj = _run_trajectory(cfg, experiment)
     report = remainder_decay_fit(traj)
     write_series_csv(
@@ -138,7 +138,7 @@ def cmd_remainder(cfg, experiment, outdir: Path, seed: int) -> list[str]:
                 f"max/median {spread:.3f} <= {REMAINDER_RATIO_SPREAD}",
             )
         )
-    lines.append(_oracle_check_line(seed))
+    lines.append(_oracle_check_line(cfg.seed))
     return lines
 
 
@@ -179,7 +179,7 @@ def oracle_cross_check(seed: int, cases: int = 5) -> float:
     return worst
 
 
-def cmd_asymptotic(cfg, experiment, outdir: Path, seed: int) -> list[str]:
+def cmd_asymptotic(cfg, experiment, outdir: Path) -> list[str]:
     traj = _run_trajectory(cfg, experiment)
     analysis = analyze_trajectory(traj)
     write_snapshot_csv(outdir / "snapshots.csv", analysis)
@@ -232,7 +232,7 @@ def main(argv=None) -> int:
     outdir = Path(cfg.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     try:
-        lines = _COMMANDS[args.command](cfg, experiment, outdir, cfg.seed)
+        lines = _COMMANDS[args.command](cfg, experiment, outdir)
     except Exception as exc:  # numerical / runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

@@ -176,6 +176,8 @@ def build_experiment(cfg: ExperimentConfig):
         raise ConfigError("solver.dt must be positive")
     if cfg.schedule_ratio <= 1.0:
         raise ConfigError("schedule.ratio must exceed 1")
+    if cfg.seed < 0:
+        raise ConfigError(f"io.seed must be non-negative, got {cfg.seed}")
     try:
         u1, v1 = initial_pair(grid, cfg.shape, cfg.epsilon, cfg.width, cfg.carrier)
         check_domain_for_horizon(u1, v1, cfg.t_end)

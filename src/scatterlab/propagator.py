@@ -25,9 +25,6 @@ from .spectral import (
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768")
 
-# direct evaluation below this work estimate, Bluestein above
-_DIRECT_WORK_LIMIT = 1 << 18
-
 
 class FrequencyRangeError(ValueError):
     """Off-grid evaluation points fall outside the resolved frequency band."""
@@ -131,50 +128,29 @@ def _bluestein(samples: list, x0: float, dx: float, xi0: float, dxi: float, m: i
     return rows
 
 
-def spectrum_at(
-    field: ComplexField | Sequence[ComplexField], targets: np.ndarray, method: str = "auto"
-) -> np.ndarray | list[np.ndarray]:
+def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.ndarray]:
     """
-    Evaluate the field's transform at arbitrary frequencies: for a physical
-    field this is its normalized Fourier transform; for a spectral field it is
-    the band-limited (trigonometric) interpolant of the samples.  A sequence
-    of fields on one grid gives a list with one row per field, each bitwise
-    the value of its own call; the fields then share the work that depends
-    only on the grid and the targets.
-
-    Uniformly spaced targets go through a Bluestein chirp transform when the
-    direct sum would be large; both paths compute the identical sum
+    Evaluate each field's transform at the uniformly spaced frequencies
+    targets: for a physical field this is its normalized Fourier transform;
+    for a spectral field it is the band-limited (trigonometric) interpolant of
+    the samples.  The fields share one grid and one Bluestein plan; each row
+    is bitwise the value the field gives alone.  The sum computed is
     (dx/sqrt(2*pi)) * sum_j phi_j e^{-i x_j xi}.
     """
-    single = isinstance(field, ComplexField)
-    fields = [field] if single else list(field)
-    if not fields:
-        raise ValueError("spectrum_at needs at least one field")
+    fields = list(fields)
+    xi = np.atleast_1d(np.asarray(targets, dtype=float))
+    if not fields or not xi.size:
+        raise ValueError("spectrum_at needs at least one field and one target")
     g = require_same_grid(*fields)
     samples = [to_physical(f).samples for f in fields]
-    xi = np.atleast_1d(np.asarray(targets, dtype=float))
-    if method not in ("auto", "direct", "czt"):
-        raise ValueError("method must be auto, direct or czt")
-    use_czt = False
-    if method == "czt" or (method == "auto" and xi.size >= 2 and g.N * xi.size > _DIRECT_WORK_LIMIT):
-        steps = np.diff(xi)
-        if steps.size and np.allclose(steps, steps[0], rtol=1e-12, atol=1e-15 * max(1.0, abs(xi[0]))):
-            use_czt = True
-        elif method == "czt":
-            raise ValueError("czt path requires uniformly spaced targets")
-    if use_czt:
-        rows = _bluestein(samples, float(g.x[0]), g.dx, float(xi[0]), float(xi[1] - xi[0]), xi.size)
-    else:
-        rows = [np.empty(xi.size, dtype=np.complex128) for _ in samples]
-        chunk = max(1, _DIRECT_WORK_LIMIT // g.N)
-        for lo in range(0, xi.size, chunk):
-            kernel = np.exp(-1j * np.outer(xi[lo : lo + chunk], g.x))
-            for row, phi in zip(rows, samples):
-                row[lo : lo + chunk] = kernel @ phi
+    dxi = float(xi[1] - xi[0]) if xi.size >= 2 else 0.0
+    if not np.allclose(np.diff(xi), dxi, rtol=1e-12, atol=1e-15 * max(1.0, abs(xi[0]))):
+        raise ValueError("spectrum_at requires uniformly spaced targets")
+    rows = _bluestein(samples, float(g.x[0]), g.dx, float(xi[0]), dxi, xi.size)
     for row in rows:
         # in place: a real factor rounds each part once, as scale * row does
         row *= g.dx / _SQRT_2PI
-    return rows[0] if single else rows
+    return rows
 
 
 def required_points_for_split(L: float, t: float) -> int:
@@ -209,7 +185,7 @@ def leading_split(field: ComplexField, t: float) -> LeadingSplit:
     phys = to_physical(field)
     g = phys.grid
     targets = _ray_targets(g, t)
-    hat_vals = spectrum_at(phys, targets)
+    (hat_vals,) = spectrum_at([phys], targets)
     prefactor = (2j * t) ** (-0.5)
     lead = prefactor * np.exp(1j * g.x**2 / (4.0 * t)) * hat_vals
     evolved = free_evolve(phys, t)

@@ -135,16 +135,15 @@ def corrected_spectra(traj: Trajectory):
     return series_f, series_g, acc_u, acc_v
 
 
-def reduced_ode_residual(traj: Trajectory, m: int, acc_v: PhaseAccumulator | None = None) -> float:
+def reduced_ode_residual(traj: Trajectory, m: int, acc_v: PhaseAccumulator) -> float:
     """
     L2 mismatch between the central-difference time derivative of w_f across
     snapshots m-1, m+1 and the closed-form right-hand side B * R at snapshot
-    m.  Second order in the snapshot spacing.
+    m, with acc_v = corrected_spectra(traj)[3].  Second order in the
+    snapshot spacing.
     """
     if not 1 <= m <= len(traj.snapshots) - 2:
         raise ValueError("m must be an interior snapshot index")
-    if acc_v is None:
-        acc_v = corrected_spectra(traj)[3]
     states = traj.snapshots[m - 1 : m + 2]
     spectra = [profile_spectra(state) for state in states]
     w = [apply_phase_correction(f_hat, acc_v, s.t).samples for s, (f_hat, _) in zip(states, spectra)]
@@ -301,12 +300,7 @@ def interpolation_pairs(field: ComplexField, n: int) -> dict[str, tuple[float, f
 class TrajectoryAnalysis:
     """Everything the reports need, computed once from a trajectory."""
 
-    traj: Trajectory
     times: np.ndarray
-    series_f: list
-    series_g: list
-    acc_u: PhaseAccumulator
-    acc_v: PhaseAccumulator
     est_u: ScatteringEstimate | None
     est_v: ScatteringEstimate | None
     u_linf: np.ndarray
@@ -324,7 +318,7 @@ class TrajectoryAnalysis:
 def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> TrajectoryAnalysis:
     """Run the full per-snapshot analysis; quantities that need a longer
     window or a finer frequency grid degrade to None/NaN rather than fail."""
-    series_f, series_g, acc_u, acc_v = corrected_spectra(traj)
+    series_f, series_g, *_ = corrected_spectra(traj)
     times = traj.times
     try:
         est_u = estimate_limit(series_f, traj.params.n)
@@ -355,12 +349,7 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
             asym_v[i] = _closed_form_gap(state.v, t, w_v, w_u, ray_gamma_u)
             del w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
     return TrajectoryAnalysis(
-        traj=traj,
         times=times,
-        series_f=series_f,
-        series_g=series_g,
-        acc_u=acc_u,
-        acc_v=acc_v,
         est_u=est_u,
         est_v=est_v,
         u_linf=u_linf,

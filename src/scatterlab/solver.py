@@ -259,26 +259,13 @@ def geometric_schedule(t_end: float, ratio: float = DEFAULT_SCHEDULE_RATIO) -> n
     return np.array(times)
 
 
-def resolved_bandwidth(field: ComplexField, floor: float = SPECTRUM_FLOOR) -> float:
-    """Largest |xi| whose spectral amplitude still exceeds floor * peak."""
-    spec = fourier_forward(field) if field.side == PHYSICAL else field
-    mag = np.abs(spec.samples)
+def _extent(samples: np.ndarray, coord: np.ndarray) -> float:
+    """Largest |coord| whose amplitude still exceeds SPECTRUM_FLOOR * peak."""
+    mag = np.abs(samples)
     peak = float(np.max(mag))
     if peak == 0.0:
         return 0.0
-    mask = mag > floor * peak
-    return float(np.max(np.abs(spec.grid.xi[mask])))
-
-
-def support_halfwidth(field: ComplexField, floor: float = SPECTRUM_FLOOR) -> float:
-    """Largest |x| whose amplitude still exceeds floor * peak."""
-    field.require_side(PHYSICAL)
-    mag = np.abs(field.samples)
-    peak = float(np.max(mag))
-    if peak == 0.0:
-        return 0.0
-    mask = mag > floor * peak
-    return float(np.max(np.abs(field.grid.x[mask])))
+    return float(np.max(np.abs(coord[mag > SPECTRUM_FLOOR * peak])))
 
 
 def check_domain_for_horizon(u1: ComplexField, v1: ComplexField, t_end: float) -> None:
@@ -287,8 +274,8 @@ def check_domain_for_horizon(u1: ComplexField, v1: ComplexField, t_end: float) -
     must satisfy L >= 4 * xi_max * t_end + L_data to keep mass off the edge.
     """
     grid = require_same_grid(u1, v1)
-    xi_max = max(resolved_bandwidth(u1), resolved_bandwidth(v1))
-    l_data = 2.0 * max(support_halfwidth(u1), support_halfwidth(v1))
+    xi_max = max(_extent(fourier_forward(f).samples, grid.xi) for f in (u1, v1))
+    l_data = 2.0 * max(_extent(f.samples, grid.x) for f in (u1, v1))
     required = 4.0 * xi_max * t_end + l_data
     if grid.L < required:
         raise DomainSizingError(

@@ -114,6 +114,11 @@ class TestExperimentValidation:
         with pytest.raises(ConfigError, match="alpha"):
             sl.build_experiment(cfg)
 
+    def test_negative_seed_rejected(self, tmp_path):
+        cfg = sl.parse_config(write_config(tmp_path, GOOD_CONFIG + "io.seed = -1\n"))
+        with pytest.raises(ConfigError, match="io.seed"):
+            sl.build_experiment(cfg)
+
 
 class TestCli:
     def test_malformed_config_exits_2(self, tmp_path, capsys):
@@ -133,6 +138,17 @@ class TestCli:
         rc = main(["decay", "--config", str(path), "--outdir", str(tmp_path / "out")])
         assert rc == 2
         assert "key 'solver.dt': 'nan' is not finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("route", ["config", "flag"])
+    def test_negative_seed_exits_2_before_solve(self, tmp_path, capsys, monkeypatch, route):
+        text = GOOD_CONFIG + ("io.seed = -1\n" if route == "config" else "")
+        argv = ["remainder", "--config", str(write_config(tmp_path, text)), "--outdir", str(tmp_path / "out")]
+        solves = []
+        monkeypatch.setattr(cli, "evolve", lambda *args: solves.append(args))
+        rc = main(argv + (["--seed", "-1"] if route == "flag" else []))
+        assert rc == 2
+        assert "io.seed" in capsys.readouterr().err
+        assert solves == []
 
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["decay", "--config", str(tmp_path / "nope.cfg")])

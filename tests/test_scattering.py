@@ -130,7 +130,7 @@ class TestPhaseCorrection:
 class TestReducedOde:
     def test_zero_trajectory(self):
         traj = zero_trajectory()
-        assert sl.reduced_ode_residual(traj, 2) == 0.0
+        assert sl.reduced_ode_residual(traj, 2, sl.corrected_spectra(traj)[3]) == 0.0
 
     def test_linear_case_small(self):
         # v = 0: both the derivative and the right-hand side vanish
@@ -140,7 +140,7 @@ class TestReducedOde:
         params = sl.AnalysisParams.make(epsilon=0.2)
         sched = sl.geometric_schedule(21.0)
         traj = sl.evolve(sl.PairState(u1, zero, 1.0), 21.0, 0.05, sched, params)
-        assert sl.reduced_ode_residual(traj, 5) < 1e-11
+        assert sl.reduced_ode_residual(traj, 5, sl.corrected_spectra(traj)[3]) < 1e-11
 
     def test_profile_spectra_once_per_snapshot(self, monkeypatch):
         traj = zero_trajectory()
@@ -156,10 +156,11 @@ class TestReducedOde:
         assert calls == [s.t for s in traj.snapshots[1:4]]
 
     def test_boundary_index_rejected(self, richardson_traj):
+        acc_v = sl.corrected_spectra(richardson_traj)[3]
         with pytest.raises(ValueError):
-            sl.reduced_ode_residual(richardson_traj, 0)
+            sl.reduced_ode_residual(richardson_traj, 0, acc_v)
         with pytest.raises(ValueError):
-            sl.reduced_ode_residual(richardson_traj, len(richardson_traj.snapshots) - 1)
+            sl.reduced_ode_residual(richardson_traj, len(richardson_traj.snapshots) - 1, acc_v)
 
 
 class TestEstimateLimit:
@@ -319,7 +320,7 @@ class TestRayAnalysis:
         for i in np.nonzero(usable)[0]:
             t = traj.times[i]
             targets = _ray_targets(traj.grid, t)
-            w_u, w_v, gamma_u, gamma_v = (sl.spectrum_at(limit, targets) for limit in limits)
+            w_u, w_v, gamma_u, gamma_v = (sl.spectrum_at([limit], targets)[0] for limit in limits)
             state = traj.snapshots[i]
             assert _closed_form_gap(state.u, t, w_u, w_v, gamma_v) == analysis.asym_u[i]
             assert _closed_form_gap(state.v, t, w_v, w_u, gamma_u) == analysis.asym_v[i]
@@ -334,10 +335,10 @@ class TestRayAnalysis:
             plans.append(args)
             return plan(*args)
 
-        def counting(fields, targets, method="auto"):
+        def counting(fields, targets):
             alive = sum(ref() is not None for ref in spectra)
             built = len(plans)
-            out = sl.spectrum_at(fields, targets, method)
+            out = sl.spectrum_at(fields, targets)
             calls.append((len(out), len(plans) - built, alive))
             spectra.extend(weakref.ref(row) for row in out)
             return out
