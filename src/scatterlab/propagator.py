@@ -5,6 +5,7 @@ remainder split of the dispersive decay estimate.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -16,6 +17,7 @@ from .spectral import (
     SPECTRAL,
     ComplexField,
     Grid1D,
+    _cis,
     fourier_forward,
     fourier_inverse,
     require_same_grid,
@@ -70,8 +72,9 @@ def kernel_evolve(field: ComplexField, t: float) -> ComplexField:
 def _unit_phase(scale: np.longdouble, index: np.ndarray) -> np.ndarray:
     """e^{i * scale * index} with the angle reduced mod 2*pi in extended
     precision; keeps chirp phases accurate for index as large as N^2."""
-    angle = np.mod(scale * index.astype(np.longdouble), _TWO_PI_LD)
-    return np.exp(1j * angle.astype(np.float64))
+    angle = scale * index.astype(np.longdouble)
+    # reduced in place: one extended-precision temporary fewer
+    return _cis(np.mod(angle, _TWO_PI_LD, out=angle).astype(np.float64))
 
 
 class _BluesteinPlan(NamedTuple):
@@ -85,47 +88,52 @@ class _BluesteinPlan(NamedTuple):
     out_phase: np.ndarray  # e^{-i x0 xi_k} e^{-i theta k^2 / 2}
 
 
-def _bluestein_plan(n: int, x0: float, dx: float, xi0: float, dxi: float, m: int) -> _BluesteinPlan:
-    """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi."""
+def _kernel_hat(buf: np.ndarray, half_theta: np.longdouble, square: np.ndarray, n: int, m: int) -> np.ndarray:
+    """The worker's share of a plan: the chirp e^{i theta s^2 / 2} over
+    s = 1-n .. m-1, written into the zeroed buffer and transformed in place."""
+    # the chirp depends on |s| only: it is tabulated once over 0 .. max(n, m)-1
+    half = _unit_phase(half_theta, square)
+    buf[: n - 1] = half[n - 1 : 0 : -1]
+    buf[n - 1 : n - 1 + m] = half[:m]
+    del half  # before the transform's scratch: the worker's arena keeps its peak
+    return fft(buf, overwrite_x=True)
+
+
+def _bluestein_plan(
+    pool: ThreadPoolExecutor, n: int, x0: float, dx: float, xi0: float, dxi: float, m: int
+) -> _BluesteinPlan:
+    """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi;
+    the pool's worker builds kernel_hat while this thread builds the rest."""
     theta = np.longdouble(dx) * np.longdouble(dxi)
-    # both chirps depend on |s| only: each is tabulated once over 0 .. max(n, m)-1
     square = np.arange(max(n, m)) ** 2
-    half = _unit_phase(theta / 2, square)
-    # the kernel over s = 1-n .. m-1 is written into its zero-padded FFT buffer
-    # and transformed in place, so no padded copy is made
-    kernel_hat = np.zeros(next_fast_len(2 * n + m - 2), dtype=np.complex128)
-    kernel_hat[: n - 1] = half[n - 1 : 0 : -1]
-    kernel_hat[n - 1 : n - 1 + m] = half[:m]
-    del half  # before the other chirp is tabulated
-    kernel_hat = fft(kernel_hat, overwrite_x=True)
+    buf = np.zeros(next_fast_len(2 * n + m - 2), dtype=np.complex128)
+    kernel = pool.submit(_kernel_hat, buf, theta / 2, square, n, m)
     chirp = _unit_phase(-theta / 2, square)
     ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), np.arange(m)) * np.exp(-1j * x0 * xi0)
-    plan = _BluesteinPlan(
-        kernel_hat=kernel_hat,
-        shift=_unit_phase(-np.longdouble(dx) * np.longdouble(xi0), np.arange(n)),
-        chirp=chirp[:n],
-        # times a fresh array, as ray * _unit_phase(-theta / 2, k * k) is: numpy
-        # then reuses large temporaries in place, which fixes the operand order
-        out_phase=ray * chirp[:m].copy(),
-    )
+    shift = _unit_phase(-np.longdouble(dx) * np.longdouble(xi0), np.arange(n))
+    # times a fresh array, as ray * _unit_phase(-theta / 2, k * k) is: numpy
+    # then reuses large temporaries in place, which fixes the operand order
+    out_phase = ray * chirp[:m].copy()
+    plan = _BluesteinPlan(kernel_hat=kernel.result(), shift=shift, chirp=chirp[:n], out_phase=out_phase)
     for arr in plan:
         arr.flags.writeable = False
     return plan
 
 
-def _bluestein(samples: list, x0: float, dx: float, xi0: float, dxi: float, m: int) -> list:
-    """Chirp-transform evaluation of sum_j phi_j e^{-i x_j xi_k} on the
-    uniform targets xi_k = xi0 + k*dxi, one row per phi in samples, all on
-    one plan; O((N+m) log(N+m)) per row."""
-    n = samples[0].size
-    plan = _bluestein_plan(n, x0, dx, xi0, dxi, m)
-    rows = []
-    for phi in samples:
-        conv = fft(phi * plan.shift * plan.chirp, plan.kernel_hat.size)
+def _apply_plan(plan: _BluesteinPlan, samples: list, buf: np.ndarray, rows: list, scale: float) -> None:
+    """Write each phi's row, scale * out_phase * ifft(fft(phi * shift * chirp,
+    L) * kernel_hat)[n-1 : n-1+m], into rows; the transforms overwrite buf."""
+    n = plan.chirp.size
+    for phi, row in zip(samples, rows):
+        np.multiply(phi, plan.shift, out=buf[:n])
+        np.multiply(buf[:n], plan.chirp, out=buf[:n])
+        buf[n:] = 0
+        conv = fft(buf, overwrite_x=True)
         conv *= plan.kernel_hat
-        rows.append(plan.out_phase * ifft(conv, overwrite_x=True)[n - 1 : n - 1 + m])
-        del conv  # before the next row is transformed
-    return rows
+        conv = ifft(conv, overwrite_x=True)
+        np.multiply(plan.out_phase, conv[n - 1 : n - 1 + row.size], out=row)
+        # in place: a real factor rounds each part once, as scale * row does
+        row *= scale
 
 
 def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.ndarray]:
@@ -135,7 +143,11 @@ def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.
     for a spectral field it is the band-limited (trigonometric) interpolant of
     the samples.  The fields share one grid and one Bluestein plan; each row
     is bitwise the value the field gives alone.  The sum computed is
-    (dx/sqrt(2*pi)) * sum_j phi_j e^{-i x_j xi}.
+    (dx/sqrt(2*pi)) * sum_j phi_j e^{-i x_j xi}, in O((N+m) log(N+m)) per row.
+    The rows alternate between this thread and one worker that lives only for
+    the call, each lane in its own buffer.  Buffers and rows are allocated on
+    this thread: glibc gives the worker a malloc arena of its own, which
+    cannot reuse memory freed here.
     """
     fields = list(fields)
     xi = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -146,10 +158,15 @@ def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.
     dxi = float(xi[1] - xi[0]) if xi.size >= 2 else 0.0
     if not np.allclose(np.diff(xi), dxi, rtol=1e-12, atol=1e-15 * max(1.0, abs(xi[0]))):
         raise ValueError("spectrum_at requires uniformly spaced targets")
-    rows = _bluestein(samples, float(g.x[0]), g.dx, float(xi[0]), dxi, xi.size)
-    for row in rows:
-        # in place: a real factor rounds each part once, as scale * row does
-        row *= g.dx / _SQRT_2PI
+    scale = g.dx / _SQRT_2PI
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        plan = _bluestein_plan(pool, g.N, float(g.x[0]), g.dx, float(xi[0]), dxi, xi.size)
+        # one buffer per busy lane: a single field leaves the worker idle
+        bufs = [np.empty_like(plan.kernel_hat) for _ in samples[:2]]
+        rows = [np.empty(xi.size, dtype=np.complex128) for _ in samples]
+        other = pool.submit(_apply_plan, plan, samples[1::2], bufs[-1], rows[1::2], scale)
+        _apply_plan(plan, samples[::2], bufs[0], rows[::2], scale)
+        other.result()
     return rows
 
 

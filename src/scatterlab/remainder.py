@@ -23,6 +23,7 @@ from .ratefit import RateFit, fit_rate
 from .spectral import (
     SPECTRAL,
     ComplexField,
+    _cis,
     fourier_forward,
     fourier_inverse,
     norm_H0n,
@@ -121,7 +122,7 @@ def remainder_oracle(inp: TrilinearInput) -> ComplexField:
 def profile_spectra(state) -> tuple[ComplexField, ComplexField]:
     """Spectral profiles (fhat, ghat) = e^{i t xi^2} (uhat, vhat) of a state."""
     g = state.grid
-    back = np.exp(1j * state.t * g.xi**2)
+    back = _cis(state.t * g.xi**2)
     f_hat = fourier_forward(state.u)
     g_hat = fourier_forward(state.v)
     return f_hat.with_samples(f_hat.samples * back), g_hat.with_samples(g_hat.samples * back)

@@ -318,13 +318,14 @@ class TrajectoryAnalysis:
 def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> TrajectoryAnalysis:
     """Run the full per-snapshot analysis; quantities that need a longer
     window or a finer frequency grid degrade to None/NaN rather than fail."""
-    series_f, series_g, *_ = corrected_spectra(traj)
+    series_f, series_g = corrected_spectra(traj)[:2]  # drops the phase accumulators
     times = traj.times
     try:
         est_u = estimate_limit(series_f, traj.params.n)
         est_v = estimate_limit(series_g, traj.params.n)
     except ValueError:
         est_u = est_v = None
+    del series_f, series_g  # only the estimates are read; the ray pass reuses this
 
     m = len(times)
     u_linf = np.array([norm_Linf(s.u) for s in traj.snapshots])

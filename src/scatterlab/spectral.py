@@ -108,6 +108,15 @@ class ComplexField:
             raise SideMismatchError(f"expected a {side} field, got {self.side}")
 
 
+def _cis(angle: np.ndarray) -> np.ndarray:
+    """e^{i angle} from cos and sin of the real angle, at about 2/3 the cost of
+    np.exp(1j * angle); bitwise it but for angle = -0.0, whose sine is -0.0."""
+    e = np.empty(angle.shape, dtype=np.complex128)
+    np.cos(angle, out=e.real)
+    np.sin(angle, out=e.imag)
+    return e
+
+
 def require_same_grid(*fields: ComplexField) -> Grid1D:
     grid = fields[0].grid
     for f in fields[1:]:

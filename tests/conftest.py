@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,14 @@ import scatterlab as sl
 
 MAIN_T_END = 200.0
 ASYM_T_END = 256.0
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_a_test():
+    """The solver's and the ray pass's worker threads live only for a call."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() <= before, "a thread outlived the test"
 
 
 @pytest.fixture(scope="session")

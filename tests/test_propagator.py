@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scatterlab as sl
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 
-from scipy.fft import fft, next_fast_len
+from scipy.fft import fft, ifft, next_fast_len
 
 import scatterlab.propagator as propagator
 from scatterlab.propagator import FrequencyRangeError, _bluestein_plan, _unit_phase
@@ -36,6 +38,27 @@ def direct_spectrum(field, targets):
     with a dense kernel, one row per target."""
     g = field.grid
     return np.exp(-1j * np.outer(targets, g.x)) @ to_physical(field).samples * (g.dx / np.sqrt(2 * np.pi))
+
+
+def build_plan(*geometry):
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        return _bluestein_plan(pool, *geometry)
+
+
+def one_lane_spectrum(fields, targets):
+    """Reference for spectrum_at's two lanes: the plan applied to one field
+    after another, out of place, as a single-threaded loop does it."""
+    g = fields[0].grid
+    n, m = g.N, len(targets)
+    plan = build_plan(n, float(g.x[0]), g.dx, float(targets[0]), float(targets[1] - targets[0]), m)
+    rows = []
+    for f in fields:
+        phi = to_physical(f).samples
+        conv = ifft(fft(phi * plan.shift * plan.chirp, plan.kernel_hat.size) * plan.kernel_hat)
+        row = plan.out_phase * conv[n - 1 : n - 1 + m]
+        row *= g.dx / np.sqrt(2 * np.pi)
+        rows.append(row)
+    return rows
 
 
 class TestFreeEvolve:
@@ -214,6 +237,43 @@ class TestSeveralFields:
             sl.spectrum_at([f], np.array([]))
 
 
+class TestTwoLanes:
+    # odd field counts give the lanes unequal shares; numpy elides temporaries
+    # from 16384 complex points on, which fixes the operand order of products
+    @pytest.mark.parametrize("n, m", [(256, 300), (1 << 14, 1 << 14), (1 << 14, 999)])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_rows_bitwise_one_lane_loop(self, n, m, k):
+        rng = np.random.default_rng(n + m + k)
+        grid = sl.Grid1D(L=50.0, N=n)
+        sides = ["physical", "spectral"] * 3
+        fields = [sl.ComplexField(grid, [1, 1j] @ rng.normal(size=(2, n)), sides[i]) for i in range(k)]
+        targets = np.linspace(-2.0, 2.7, m)
+        rows = sl.spectrum_at(fields, targets)
+        want = one_lane_spectrum(fields, targets)
+        assert len(rows) == k
+        for row, ref in zip(rows, want):
+            # views of the bits: array_equal takes -0 for +0
+            assert np.array_equal(row.view(np.uint64), ref.view(np.uint64))
+
+    @pytest.mark.parametrize("passed", [0, 1])
+    def test_worker_error_propagates(self, monkeypatch, passed):
+        # passed = 0 fails the worker's kernel transform, 1 its first row
+        grid = sl.Grid1D(L=50.0, N=256)
+        fields = [smooth_random(grid, s) for s in (9, 10, 11)]
+        worker_calls = []
+
+        def failing_fft(*args, **kwargs):
+            if threading.current_thread() is not threading.main_thread():
+                worker_calls.append(1)
+                if len(worker_calls) > passed:
+                    raise RuntimeError("worker lane failed")
+            return fft(*args, **kwargs)
+
+        monkeypatch.setattr(propagator, "fft", failing_fft)
+        with pytest.raises(RuntimeError, match="worker lane failed"):
+            sl.spectrum_at(fields, grid.x / 2.0)
+
+
 class TestBluesteinPlan:
     def test_interleaved_geometries_and_fields(self, monkeypatch):
         grid = sl.Grid1D(L=50.0, N=1024)
@@ -232,7 +292,7 @@ class TestBluesteinPlan:
         assert len(builds) == 3
 
     def test_plan_arrays_read_only(self):
-        plan = _bluestein_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
+        plan = build_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
         for arr in plan:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -263,7 +323,7 @@ class TestRayEngine:
     @pytest.mark.parametrize("n, m", [(64, 40), (64, 150), (1024, 1024), (64, 20000)])
     def test_plan_arrays_match_direct_formulas(self, n, m):
         x0, dx, xi0, dxi = -3.2, 0.1, -2.0, 0.05
-        plan = _bluestein_plan(n, x0, dx, xi0, dxi, m)
+        plan = build_plan(n, x0, dx, xi0, dxi, m)
         ld = np.longdouble
         theta = ld(dx) * ld(dxi)
         j = np.arange(n)
@@ -294,23 +354,28 @@ class TestRayEngine:
         assert len(builds) == 2
         assert seen and all(seen)
 
-    def test_row_buffer_dropped_before_next_row(self, monkeypatch):
+    def test_rows_transform_in_place_in_two_lane_buffers(self, monkeypatch):
         grid = sl.Grid1D(L=50.0, N=256)
         fields = [smooth_random(grid, s) for s in (9, 10, 11)]
-        outputs = []
-        alive = []
+        calls = []
 
-        def watching_fft(*args, **kwargs):
-            alive.append(sum(ref() is not None for ref in outputs))
-            out = fft(*args, **kwargs)
-            outputs.append(weakref.ref(out))
+        def watching_fft(x, *args, **kwargs):
+            out = fft(x, *args, **kwargs)
+            calls.append((x, out, threading.current_thread() is threading.main_thread()))
             return out
 
         monkeypatch.setattr(propagator, "fft", watching_fft)
         sl.spectrum_at(fields, grid.x / 2.0)
-        # the plan's kernel transform, then one per row; only the kernel is
-        # alive when a row is transformed
-        assert alive == [0, 1, 1, 1]
+        # the plan's kernel transform on the worker, then one per row; every
+        # transform overwrites its input, and each lane reuses its one buffer
+        assert len(calls) == 4
+        assert all(np.shares_memory(out, x) for x, out, _ in calls)
+        kernel, *rows = calls
+        assert not kernel[2]
+        main_bufs = {id(x) for x, _, main in rows if main}
+        worker_bufs = {id(x) for x, _, main in rows if not main}
+        assert len(main_bufs) == len(worker_bufs) == 1 and main_bufs != worker_bufs
+        assert sum(main for *_, main in rows) == 2
 
 
 class TestLeadingSplit:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.spectral import EdgeMassWarning, SideMismatchError
+from scatterlab.spectral import EdgeMassWarning, SideMismatchError, _cis
 
 
 def gaussian_field(grid):
@@ -22,6 +22,27 @@ class TestGrid:
     def test_bad_length_rejected(self, L):
         with pytest.raises(ValueError, match="positive and finite"):
             sl.Grid1D(L=L, N=32)
+
+
+class TestCis:
+    # numpy elides temporaries from 16384 complex points on; sizes straddle it
+    @pytest.mark.parametrize("n", [1000, 16383, 16385])
+    def test_bitwise_complex_exp(self, n):
+        rng = np.random.default_rng(n)
+        # the chirp tables' reduced angles in [0, 2*pi), and the solver's -h * m
+        angle = rng.uniform(0.0, 2.0 * np.pi, n)
+        angle[:3] = 0.0, np.nextafter(2.0 * np.pi, 0.0), np.finfo(float).tiny
+        assert np.array_equal(_cis(angle).view(np.uint64), np.exp(1j * angle).view(np.uint64))
+        h, m = 0.05, rng.random(n) * 1e6
+        m[::7] = np.finfo(float).tiny
+        for angle in (-h * m, h * -m):
+            assert np.array_equal(_cis(angle).view(np.uint64), np.exp(1j * angle).view(np.uint64))
+            assert np.array_equal(_cis(angle).view(np.uint64), np.exp(-1j * h * m).view(np.uint64))
+
+    def test_negative_zero_keeps_its_sign(self):
+        # the one angle where the complex exp differs: its sine is -0.0
+        assert np.signbit(_cis(np.array([-0.0])).imag[0])
+        assert not np.signbit(np.exp(1j * np.array([-0.0])).imag[0])
 
 
 class TestTransform:
