@@ -40,7 +40,6 @@ from .solver import (
     evolve,
     geometric_schedule,
     initial_pair,
-    nonlinear_substep,
     strang_step,
 )
 from .ratefit import RateFit, fit_rate
@@ -60,12 +59,10 @@ from .scattering import (
     PhaseAccumulator,
     ScatteringEstimate,
     analyze_trajectory,
-    apply_phase_correction,
     corrected_spectra,
     estimate_limit,
     interpolation_pairs,
     phase_offset,
-    profile,
     reduced_ode_residual,
 )
 from .config import ConfigError, ExperimentConfig, build_experiment, parse_config

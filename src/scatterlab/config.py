@@ -27,45 +27,26 @@ class ConfigError(ValueError):
     """Malformed or inconsistent experiment configuration."""
 
 
-_SPEC = {
-    "grid.L": float,
-    "grid.N": int,
-    "solver.dt": float,
-    "solver.t_end": float,
-    "schedule.ratio": float,
-    "data.shape": str,
-    "data.epsilon": float,
-    "data.width": float,
-    "data.carrier": float,
-    "analysis.alpha": float,
-    "analysis.delta": float,
-    "analysis.beta": float,
-    "analysis.n": int,
-    "io.outdir": str,
-    "io.save_snapshots": bool,
-    "io.seed": int,
-}
-
-_REQUIRED = (
-    "grid.L",
-    "grid.N",
-    "solver.dt",
-    "solver.t_end",
-    "data.shape",
-    "data.epsilon",
-    "data.width",
-    "analysis.alpha",
-    "analysis.delta",
-    "analysis.beta",
-    "analysis.n",
-)
-
-_DEFAULTS = {
-    "schedule.ratio": 2.0**0.25,
-    "data.carrier": 0.0,
-    "io.outdir": "out",
-    "io.save_snapshots": True,
-    "io.seed": 12345,
+# the config key set: key -> (ExperimentConfig field, kind, default); keys
+# whose default is _REQUIRED must be set.  Every key maps to one field.
+_REQUIRED = object()
+_KEYS = {
+    "grid.L": ("grid_L", float, _REQUIRED),
+    "grid.N": ("grid_N", int, _REQUIRED),
+    "solver.dt": ("dt", float, _REQUIRED),
+    "solver.t_end": ("t_end", float, _REQUIRED),
+    "schedule.ratio": ("schedule_ratio", float, 2.0**0.25),
+    "data.shape": ("shape", str, _REQUIRED),
+    "data.epsilon": ("epsilon", float, _REQUIRED),
+    "data.width": ("width", float, _REQUIRED),
+    "data.carrier": ("carrier", float, 0.0),
+    "analysis.alpha": ("alpha", float, _REQUIRED),
+    "analysis.delta": ("delta", float, _REQUIRED),
+    "analysis.beta": ("beta", float, _REQUIRED),
+    "analysis.n": ("n", int, _REQUIRED),
+    "io.outdir": ("outdir", str, "out"),
+    "io.save_snapshots": ("save_snapshots", bool, True),
+    "io.seed": ("seed", int, 12345),
 }
 
 
@@ -100,7 +81,7 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 def parse_config(path) -> ExperimentConfig:
     text = Path(path).read_text()
-    values: dict[str, object] = dict(_DEFAULTS)
+    values: dict[str, object] = {k: d for k, (_, _, d) in _KEYS.items() if d is not _REQUIRED}
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = _COMMENT.sub("", line, count=1).strip()
@@ -109,14 +90,14 @@ def parse_config(path) -> ExperimentConfig:
         if "=" not in stripped:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in stripped.split("=", 1))
-        if key not in _SPEC:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown config key {key!r}")
         if key in first_line:
             raise ConfigError(
                 f"line {lineno}: duplicate config key {key!r} (first set on line {first_line[key]})"
             )
         first_line[key] = lineno
-        kind = _SPEC[key]
+        kind = _KEYS[key][1]
         try:
             if kind is bool:
                 values[key] = _parse_bool(raw, key)
@@ -128,30 +109,13 @@ def parse_config(path) -> ExperimentConfig:
             raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind.__name__}") from exc
         if kind is float and not math.isfinite(values[key]):
             raise ConfigError(f"key {key!r}: {raw!r} is not finite")
-    missing = [k for k in _REQUIRED if k not in values]
+    missing = [k for k in _KEYS if k not in values]
     if missing:
         raise ConfigError(f"missing required config keys: {', '.join(missing)}")
     shape = str(values["data.shape"])
     if shape not in DATA_SHAPES:
         raise ConfigError(f"data.shape must be one of {DATA_SHAPES}, got {shape!r}")
-    return ExperimentConfig(
-        grid_L=float(values["grid.L"]),
-        grid_N=int(values["grid.N"]),
-        dt=float(values["solver.dt"]),
-        t_end=float(values["solver.t_end"]),
-        schedule_ratio=float(values["schedule.ratio"]),
-        shape=shape,
-        epsilon=float(values["data.epsilon"]),
-        width=float(values["data.width"]),
-        carrier=float(values["data.carrier"]),
-        alpha=float(values["analysis.alpha"]),
-        delta=float(values["analysis.delta"]),
-        beta=float(values["analysis.beta"]),
-        n=int(values["analysis.n"]),
-        outdir=str(values["io.outdir"]),
-        save_snapshots=bool(values["io.save_snapshots"]),
-        seed=int(values["io.seed"]),
-    )
+    return ExperimentConfig(**{field: values[key] for key, (field, _, _) in _KEYS.items()})
 
 
 def build_experiment(cfg: ExperimentConfig):

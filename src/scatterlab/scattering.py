@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import FrequencyRangeError, _ray_targets, free_evolve, spectrum_at
+from .propagator import FrequencyRangeError, _ray_targets, spectrum_at
 from .ratefit import RateFit, fit_rate
 from .remainder import (
     RESONANT_COEFF,
@@ -19,11 +19,10 @@ from .remainder import (
     profile_spectra,
     remainder_physical,
 )
-from .solver import PairState, Trajectory
+from .solver import Trajectory
 from .spectral import (
     SPECTRAL,
     ComplexField,
-    Grid1D,
     fourier_inverse,
     norm_H0n,
     norm_L1,
@@ -43,32 +42,12 @@ CHAIN_CONSTANT_SAFE = float(np.sqrt(L1_INTERP_CONSTANT_SAFE))
 class PhaseAccumulator:
     """
     Running quadrature of integral_1^t |hhat(s, xi)|^2 / s ds per frequency,
-    stored at every snapshot time.  The unimodular phase correction is
-    exp(i * RESONANT_COEFF * value).
+    one row per snapshot.  Snapshot m's unimodular phase correction is
+    exp(i * RESONANT_COEFF * values[m]).
     """
 
-    grid: Grid1D
-    times: np.ndarray
-    values: np.ndarray  # shape (len(times), N), nonnegative, nondecreasing in t
-    source: str  # "u" or "v": which component's modulus is integrated
+    values: np.ndarray  # shape (snapshots, N), nonnegative, nondecreasing in t
     quadrature_error: float
-
-    def index_of(self, t: float) -> int:
-        hits = np.nonzero(np.abs(self.times - t) <= 1e-9 * max(1.0, abs(t)))[0]
-        if hits.size == 0:
-            raise ValueError(f"time {t!r} is not an accumulator snapshot time")
-        return int(hits[0])
-
-    def value_at(self, t: float) -> np.ndarray:
-        return self.values[self.index_of(t)]
-
-    def correction_at(self, t: float) -> np.ndarray:
-        return np.exp(1j * RESONANT_COEFF * self.value_at(t))
-
-
-def profile(state: PairState) -> tuple[ComplexField, ComplexField]:
-    """Backwards free evolution (f, g) = e^{-it d_xx} (u, v), physical side."""
-    return free_evolve(state.u, -state.t), free_evolve(state.v, -state.t)
 
 
 def _log_trapezoid_rows(times: np.ndarray, squares: np.ndarray) -> np.ndarray:
@@ -83,17 +62,6 @@ def _log_trapezoid_rows(times: np.ndarray, squares: np.ndarray) -> np.ndarray:
         step = sigma[m] - sigma[m - 1]
         out[m] = out[m - 1] + 0.5 * step * (squares[m] + squares[m - 1])
     return out
-
-
-def apply_phase_correction(f_hat: ComplexField, acc: PhaseAccumulator, t: float) -> ComplexField:
-    """
-    Multiply a spectral profile by the unimodular correction built from the
-    accumulator; the modulus is preserved pointwise.
-    """
-    f_hat.require_side(SPECTRAL)
-    if f_hat.grid.N != acc.grid.N or f_hat.grid.L != acc.grid.L:
-        raise ValueError("accumulator and field grids differ")
-    return f_hat.with_samples(f_hat.samples * acc.correction_at(t))
 
 
 def corrected_spectra(traj: Trajectory):
@@ -124,14 +92,16 @@ def corrected_spectra(traj: Trajectory):
             err = max(err, float(np.max(np.abs(vals[side][::2] - coarse))) / 3.0)
             del coarse
     del sq  # the correction loop below holds neither
-    acc_u = PhaseAccumulator(traj.grid, times, vals[0], "u", err)
-    acc_v = PhaseAccumulator(traj.grid, times, vals[1], "v", err)
+    acc_u = PhaseAccumulator(vals[0], err)
+    acc_v = PhaseAccumulator(vals[1], err)
     series_f = []
     series_g = []
-    for state in traj.snapshots:
-        f_hat, g_hat = spectra.pop(0)  # never hold both whole series at once
-        series_f.append((state.t, apply_phase_correction(f_hat, acc_v, state.t)))
-        series_g.append((state.t, apply_phase_correction(g_hat, acc_u, state.t)))
+    for m, state in enumerate(traj.snapshots):
+        pair = spectra.pop(0)  # never hold both whole series at once
+        for series, spec, acc in ((series_f, pair[0], acc_v), (series_g, pair[1], acc_u)):
+            series.append(
+                (state.t, spec.with_samples(spec.samples * np.exp(1j * RESONANT_COEFF * acc.values[m])))
+            )
     return series_f, series_g, acc_u, acc_v
 
 
@@ -146,14 +116,19 @@ def reduced_ode_residual(traj: Trajectory, m: int, acc_v: PhaseAccumulator) -> f
         raise ValueError("m must be an interior snapshot index")
     states = traj.snapshots[m - 1 : m + 2]
     spectra = [profile_spectra(state) for state in states]
-    w = [apply_phase_correction(f_hat, acc_v, s.t).samples for s, (f_hat, _) in zip(states, spectra)]
+    w = [
+        f_hat.samples * np.exp(1j * RESONANT_COEFF * acc_v.values[k])
+        for k, (f_hat, _) in enumerate(spectra, start=m - 1)
+    ]
     t_lo, t_mid, t_hi = (s.t for s in states)
     h_minus = t_mid - t_lo
     h_plus = t_hi - t_mid
     deriv = (
         h_minus**2 * (w[2] - w[1]) + h_plus**2 * (w[1] - w[0])
     ) / (h_minus * h_plus * (h_minus + h_plus))
-    rhs = acc_v.correction_at(t_mid) * remainder_physical(TrilinearInput(*spectra[1], t_mid)).samples
+    rhs = np.exp(1j * RESONANT_COEFF * acc_v.values[m]) * remainder_physical(
+        TrilinearInput(*spectra[1], t_mid)
+    ).samples
     diff = ComplexField(traj.grid, deriv - rhs, SPECTRAL)
     return norm_L2(diff)
 

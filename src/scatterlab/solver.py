@@ -88,17 +88,6 @@ class Trajectory:
         return np.array([s.t for s in self.snapshots])
 
 
-def nonlinear_substep(state: PairState, dt: float) -> PairState:
-    """
-    Exact potential-only flow: both moduli are constant under it, so the
-    rotation with moduli frozen at entry solves the substep exactly.
-    """
-    u = _rotate(state.u.samples, dt, np.abs(state.v.samples) ** 2)
-    v = _rotate(state.v.samples, dt, np.abs(state.u.samples) ** 2)
-    g = state.grid
-    return PairState(ComplexField(g, u, PHYSICAL), ComplexField(g, v, PHYSICAL), state.t + dt)
-
-
 def _half_multiplier(grid: Grid1D, dt: float) -> np.ndarray:
     # wrapped (fft-order) layout; diagonal multipliers need no shift phases
     xi = 2.0 * np.pi * fftfreq(grid.N, d=grid.dx)

@@ -65,24 +65,29 @@ def load_trajectory(path, dt: float = float("nan")) -> Trajectory:
     )
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
-    grid = Grid1D(L=length, N=int(n_points))
-    params = AnalysisParams(alpha=alpha, delta=delta, beta=beta, nu=nu, n=int(order), epsilon=epsilon)
     offset = _HEADER.size
-    per_snapshot = 8 + 2 * 16 * grid.N
-    if len(raw) != offset + count * per_snapshot:
-        raise FormatError("file length does not match header snapshot count")
-    snapshots = []
-    for _ in range(count):
-        (t,) = struct.unpack_from("<d", raw, offset)
-        offset += 8
-        u = np.frombuffer(raw, dtype="<c16", count=grid.N, offset=offset)
-        offset += 16 * grid.N
-        v = np.frombuffer(raw, dtype="<c16", count=grid.N, offset=offset)
-        offset += 16 * grid.N
-        snapshots.append(
-            PairState(ComplexField(grid, u, PHYSICAL), ComplexField(grid, v, PHYSICAL), t)
-        )
-    return Trajectory(grid=grid, params=params, snapshots=tuple(snapshots), dt=dt)
+    if count < 1:
+        raise FormatError(f"header snapshot count {count} is not positive")
+    # checked before N sizes any allocation: the file's length then bounds N
+    if len(raw) != offset + count * (8 + 2 * 16 * n_points):
+        raise FormatError("file length does not match header N and snapshot count")
+    try:
+        grid = Grid1D(L=length, N=n_points)
+        params = AnalysisParams(alpha=alpha, delta=delta, beta=beta, nu=nu, n=order, epsilon=epsilon)
+        snapshots = []
+        for _ in range(count):
+            (t,) = struct.unpack_from("<d", raw, offset)
+            offset += 8
+            u = np.frombuffer(raw, dtype="<c16", count=grid.N, offset=offset)
+            offset += 16 * grid.N
+            v = np.frombuffer(raw, dtype="<c16", count=grid.N, offset=offset)
+            offset += 16 * grid.N
+            snapshots.append(
+                PairState(ComplexField(grid, u, PHYSICAL), ComplexField(grid, v, PHYSICAL), t)
+            )
+        return Trajectory(grid=grid, params=params, snapshots=tuple(snapshots), dt=dt)
+    except ValueError as exc:
+        raise FormatError(f"invalid header or snapshot times: {exc}") from exc
 
 
 def _fmt(value: float) -> str:

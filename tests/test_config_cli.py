@@ -3,7 +3,7 @@ import pytest
 import scatterlab as sl
 import scatterlab.cli as cli
 from scatterlab.cli import main, oracle_cross_check
-from scatterlab.config import _SPEC, ConfigError
+from scatterlab.config import _KEYS, ConfigError
 
 GOOD_CONFIG = """
 # quick coupled run
@@ -71,7 +71,7 @@ class TestConfigParsing:
         assert cfg.grid_N == 4096
 
     @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("key", [k for k, kind in _SPEC.items() if kind is float])
+    @pytest.mark.parametrize("key", [k for k, (_, kind, _) in _KEYS.items() if kind is float])
     def test_non_finite_float_rejected(self, tmp_path, key, raw):
         kept = [line for line in GOOD_CONFIG.splitlines() if not line.startswith(key + " ")]
         path = write_config(tmp_path, "\n".join(kept) + f"\n{key} = {raw}\n")

@@ -8,7 +8,7 @@ import scatterlab.propagator as propagator
 import scatterlab.scattering as scattering
 from scatterlab.remainder import RESONANT_COEFF
 from scatterlab.propagator import _ray_targets
-from scatterlab.scattering import PhaseAccumulator, _cauchy_pairs, _closed_form_gap
+from scatterlab.scattering import _cauchy_pairs, _closed_form_gap
 from conftest import coarsen
 
 
@@ -36,11 +36,35 @@ def free_pair_trajectory(t_end=32.0, L=700.0, N=4096):
     return sl.Trajectory(grid=grid, params=params, snapshots=tuple(snaps), dt=0.1)
 
 
+def physical_profiles(state):
+    """Physical profiles (f, g) = e^{-it d_xx} (u, v), from the spectral ones."""
+    f_hat, g_hat = sl.profile_spectra(state)
+    return sl.fourier_inverse(f_hat), sl.fourier_inverse(g_hat)
+
+
+def corrected_checked(traj):
+    """corrected_spectra(traj), after checking that every corrected spectrum is
+    bitwise fhat_m exp(i c Phi_v[m]) (ghat_m exp(i c Phi_u[m])) at its own m."""
+    out = series_f, series_g, acc_u, acc_v = sl.corrected_spectra(traj)
+    for m, state in enumerate(traj.snapshots):
+        f_hat, g_hat = sl.profile_spectra(state)
+        w_f = f_hat.samples * np.exp(1j * RESONANT_COEFF * acc_v.values[m])
+        w_g = g_hat.samples * np.exp(1j * RESONANT_COEFF * acc_u.values[m])
+        assert series_f[m][0] == series_g[m][0] == state.t
+        assert np.array_equal(bits(series_f[m][1].samples), bits(w_f)), f"w_f at m = {m}"
+        assert np.array_equal(bits(series_g[m][1].samples), bits(w_g)), f"w_g at m = {m}"
+    return out
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 class TestProfile:
     def test_profile_at_unit_time(self):
         grid = sl.Grid1D(L=60.0, N=512)
         u1, v1 = sl.initial_pair(grid, "gaussian", 0.2, 2.0)
-        f, g = sl.profile(sl.PairState(u1, v1, 1.0))
+        f, g = physical_profiles(sl.PairState(u1, v1, 1.0))
         expect = sl.free_evolve(u1, -1.0)
         assert np.max(np.abs(f.samples - expect.samples)) < 1e-13
 
@@ -48,15 +72,15 @@ class TestProfile:
         grid = sl.Grid1D(L=60.0, N=512)
         u1, v1 = sl.initial_pair(grid, "gaussian", 0.2, 2.0)
         state = sl.PairState(sl.free_evolve(u1, 2.5), sl.free_evolve(v1, 2.5), 3.5)
-        f, _ = sl.profile(state)
+        f, _ = physical_profiles(state)
         back = sl.free_evolve(f, 3.5)
         assert np.max(np.abs(back.samples - state.u.samples)) < 1e-12
 
     def test_profile_static_for_free_solution(self):
         traj = free_pair_trajectory(t_end=16.0)
-        f0, _ = sl.profile(traj.snapshots[0])
+        f0, _ = physical_profiles(traj.snapshots[0])
         for s in traj.snapshots[1:]:
-            f, _ = sl.profile(s)
+            f, _ = physical_profiles(s)
             assert np.max(np.abs(f.samples - f0.samples)) < 1e-12
 
 
@@ -65,7 +89,7 @@ class TestAccumulatePhase:
         acc_u, acc_v = sl.corrected_spectra(zero_trajectory())[2:]
         for acc in (acc_u, acc_v):
             assert np.all(acc.values == 0)
-            assert np.all(acc.correction_at(acc.times[-1]) == 1.0)
+            assert np.all(np.exp(1j * RESONANT_COEFF * acc.values[-1]) == 1.0)
 
     def test_constant_modulus_gives_log_growth(self):
         # free evolution keeps |vhat| fixed, so the integral is |vhat|^2 ln t
@@ -74,7 +98,7 @@ class TestAccumulatePhase:
         acc_u, acc_v = sl.corrected_spectra(traj)[2:]
         vhat1 = sl.fourier_forward(traj.snapshots[0].v)
         expect = np.abs(vhat1.samples) ** 2 * np.log(traj.times[-1])
-        got = acc_v.value_at(traj.times[-1])
+        got = acc_v.values[-1]
         assert np.max(np.abs(got - expect)) < 1e-12 * max(1.0, np.max(expect))
 
     def test_monotone_in_time(self, richardson_traj):
@@ -94,37 +118,65 @@ class TestAccumulatePhase:
         assert coarse.quadrature_error > 0
         assert d1 / 10 <= 3 * coarse.quadrature_error <= 10 * d1
 
-    def test_unknown_time_rejected(self, richardson_traj):
-        acc = sl.corrected_spectra(richardson_traj)[2]
-        with pytest.raises(ValueError):
-            acc.value_at(3.1415)
-
 
 class TestPhaseCorrection:
     def test_zero_accumulator_is_identity(self):
-        traj = zero_trajectory()
-        acc = sl.corrected_spectra(traj)[3]
-        grid = traj.grid
-        f_hat = sl.ComplexField(grid, np.exp(-grid.xi**2), "spectral")
-        w = sl.apply_phase_correction(f_hat, acc, 1.0)
-        assert np.array_equal(w.samples, f_hat.samples)
+        # v = 0: Phi_v vanishes, so w_f is fhat itself
+        grid = sl.Grid1D(L=700.0, N=4096)
+        u1 = sl.ComplexField(grid, 0.3 * np.exp(-grid.x**2 / 2), "physical")
+        zero = sl.ComplexField(grid, np.zeros(grid.N), "physical")
+        snaps = tuple(
+            sl.PairState(sl.free_evolve(u1, t - 1.0), zero, float(t)) for t in sl.geometric_schedule(16.0)
+        )
+        traj = sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=0.3), snapshots=snaps, dt=0.1)
+        series_f, _, _, acc_v = corrected_checked(traj)
+        assert np.all(acc_v.values == 0)
+        for (_, w), state in zip(series_f, traj.snapshots):
+            f_hat, _ = sl.profile_spectra(state)
+            assert np.array_equal(w.samples, f_hat.samples)
 
     def test_modulus_preserved(self, richardson_traj):
-        acc = sl.corrected_spectra(richardson_traj)[3]
-        state = richardson_traj.snapshots[5]
-        f_hat, _ = sl.profile_spectra(state)
-        w = sl.apply_phase_correction(f_hat, acc, state.t)
+        series_f = corrected_checked(richardson_traj)[0]
+        f_hat, _ = sl.profile_spectra(richardson_traj.snapshots[5])
+        w = series_f[5][1]
         assert np.max(np.abs(np.abs(w.samples) - np.abs(f_hat.samples))) < 1e-15
 
     def test_explicit_half_turn(self):
-        # accumulated integral of pi / RESONANT_COEFF flips the sign
+        # v a free point mass: |vhat|^2 is the same at every frequency and
+        # time, so Phi_v(t) = |vhat|^2 ln t, scaled here to pi / RESONANT_COEFF
+        # at t = 2, where the correction flips the sign of fhat
         grid = sl.Grid1D(L=16.0, N=64)
-        values = np.zeros((2, 64))
-        values[1] = np.pi / RESONANT_COEFF
-        acc = PhaseAccumulator(grid, np.array([1.0, 2.0]), values, "v", 0.0)
-        f_hat = sl.ComplexField(grid, np.exp(-grid.xi**2), "spectral")
-        w = sl.apply_phase_correction(f_hat, acc, 2.0)
+        spike = np.zeros(grid.N, dtype=complex)
+        spike[grid.N // 2] = 1.0
+        m2 = np.abs(sl.fourier_forward(sl.ComplexField(grid, spike, "physical")).samples) ** 2
+        spike *= np.sqrt(np.pi / RESONANT_COEFF / (m2[0] * np.log(2.0)))
+        u1 = sl.ComplexField(grid, np.exp(-grid.x**2), "physical")
+        v1 = sl.ComplexField(grid, spike, "physical")
+        snaps = tuple(
+            sl.PairState(sl.free_evolve(u1, t - 1.0), sl.free_evolve(v1, t - 1.0), t) for t in (1.0, 2.0)
+        )
+        traj = sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=0.3), snapshots=snaps, dt=0.1)
+        w = corrected_checked(traj)[0][1][1]
+        f_hat, _ = sl.profile_spectra(snaps[1])
         assert np.max(np.abs(w.samples + f_hat.samples)) < 1e-14
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            [1.0, 2.0, 4.0, 4.0 * (1 + 5e-10)],
+            sl.geometric_schedule(16.0000000016),  # ends ..., 16, 16.0000000016
+        ],
+        ids=["near_duplicate_last", "geometric_schedule"],
+    )
+    def test_near_duplicate_times_keep_their_rows(self, times):
+        # snapshots closer than any time tolerance still get their own row
+        grid = sl.Grid1D(L=240.0, N=512)
+        u1, v1 = sl.initial_pair(grid, "gaussian", 0.2, 3.0)
+        params = sl.AnalysisParams.make(epsilon=0.2)
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), times[-1], 0.05, times[1:], params)
+        assert np.array_equal(traj.times, times)
+        acc_v = corrected_checked(traj)[3]
+        assert not np.array_equal(acc_v.values[-1], acc_v.values[-2])
 
 
 class TestReducedOde:
@@ -256,11 +308,11 @@ class TestPhaseOffset:
         # gamma + |w|^2 ln t recomposes the running integral exactly
         series_f, series_g, acc_u, acc_v = sl.corrected_spectra(richardson_traj)
         gammas, _ = sl.phase_offset(series_g)
-        for (t, gamma), state in zip(gammas, richardson_traj.snapshots):
+        for m, (t, gamma) in enumerate(gammas):
             recomposed = gamma + np.abs(
                 dict((tt, w) for tt, w in series_g)[t].samples
             ) ** 2 * np.log(t)
-            assert np.max(np.abs(recomposed - acc_v.value_at(t))) < 1e-12
+            assert np.max(np.abs(recomposed - acc_v.values[m])) < 1e-12
 
 
 class TestExchangeSymmetry:

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
-from scatterlab.trajio import CSV_HEADER, FormatError, MAGIC
+import scatterlab.trajio as trajio
+from scatterlab.trajio import _HEADER, CSV_HEADER, FormatError, MAGIC
 
 
 def tiny_trajectory():
@@ -17,6 +18,20 @@ def tiny_trajectory():
         snaps.append(sl.PairState(u, v, t))
     params = sl.AnalysisParams.make(alpha=0.02, delta=0.2, beta=0.1, n=2, epsilon=0.3)
     return sl.Trajectory(grid=grid, params=params, snapshots=tuple(snaps), dt=0.125)
+
+
+HEADER_FIELDS = ("magic", "N", "L", "count", "alpha", "delta", "beta", "nu", "n", "epsilon")
+
+
+def write_with_header(path, body_bytes=None, **changes):
+    """The tiny trajectory's header with some fields changed, over a zero body
+    whose length matches the changed N and count unless body_bytes is given."""
+    sl.save_trajectory(tiny_trajectory(), path)
+    fields = dict(zip(HEADER_FIELDS, _HEADER.unpack_from(path.read_bytes())))
+    fields.update(changes)
+    if body_bytes is None:
+        body_bytes = fields["count"] * (8 + 2 * 16 * fields["N"])
+    path.write_bytes(_HEADER.pack(*fields.values()) + bytes(body_bytes))
 
 
 class TestBinaryFormat:
@@ -64,6 +79,28 @@ class TestBinaryFormat:
         path = tmp_path / "t.bin"
         sl.save_trajectory(traj, path)
         path.write_bytes(path.read_bytes()[:-7])
+        with pytest.raises(FormatError):
+            sl.load_trajectory(path)
+
+    def test_oversized_header_rejected_before_grid(self, tmp_path, monkeypatch):
+        # an 88-byte file claiming N = 2^24 must not allocate that grid
+        path = tmp_path / "big.bin"
+        write_with_header(path, body_bytes=8, N=2**24)
+        assert len(path.read_bytes()) == 88
+        grids = []
+        monkeypatch.setattr(trajio, "Grid1D", lambda **kw: grids.append(kw))
+        with pytest.raises(FormatError, match="file length"):
+            sl.load_trajectory(path)
+        assert grids == []
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"N": 15}, {"L": float("nan")}, {"alpha": 0.1}, {"count": 0}],
+        ids=["odd_N", "nan_L", "alpha_outside_window", "count_zero"],
+    )
+    def test_invalid_header_value_is_format_error(self, tmp_path, changes):
+        path = tmp_path / "bad.bin"
+        write_with_header(path, **changes)
         with pytest.raises(FormatError):
             sl.load_trajectory(path)
 
