@@ -23,6 +23,7 @@ from .solver import Trajectory
 from .spectral import (
     SPECTRAL,
     ComplexField,
+    Grid1D,
     fourier_inverse,
     norm_H0n,
     norm_L1,
@@ -67,67 +68,58 @@ def _log_trapezoid_rows(times: np.ndarray, squares: np.ndarray) -> np.ndarray:
 def corrected_spectra(traj: Trajectory):
     """
     Per-snapshot phase-corrected spectra for both components:
-    w_f = fhat * B(vhat), w_g = ghat * B(uhat).  Returns (series_f, series_g,
-    acc_u, acc_v) with each series a list of (t, ComplexField); acc_u
-    integrates |uhat|^2/s (driving the correction applied to ghat), acc_v
-    |vhat|^2/s (driving the one applied to fhat).  The free group is
-    unimodular, so |fhat| = |uhat| and |ghat| = |vhat| pointwise.  Each
-    snapshot's profile spectra are computed once and feed both the phase
-    accumulation and the correction; one component's squared moduli are held
-    at a time.
+    w_f = fhat * B(vhat), w_g = ghat * B(uhat).  Returns (w_f, w_g, acc_u,
+    acc_v) with w_f[m], w_g[m] the spectral-side sample arrays of
+    traj.snapshots[m]; acc_u integrates |uhat|^2/s (driving the correction
+    applied to ghat), acc_v |vhat|^2/s (driving the one applied to fhat), and
+    each reports its own quadrature error.  The free group is unimodular, so
+    |fhat| = |uhat| and |ghat| = |vhat| pointwise.  Each snapshot's profile
+    spectra are computed once and feed both the phase accumulation and the
+    correction; one component's squared moduli are held at a time.
     """
     if len(traj.snapshots) < 2:
         raise ValueError("phase accumulation needs at least 2 snapshots")
     times = traj.times
     spectra = [profile_spectra(state) for state in traj.snapshots]
     sq = np.empty((len(times), traj.grid.N))
-    err = 0.0
-    vals = []
+    accs = []
     for side in (0, 1):
         for m, pair in enumerate(spectra):
             sq[m] = np.abs(pair[side].samples) ** 2
-        vals.append(_log_trapezoid_rows(times, sq))
+        vals = _log_trapezoid_rows(times, sq)
+        err = 0.0
         if len(times) >= 5:
             coarse = _log_trapezoid_rows(times[::2], sq[::2])
-            err = max(err, float(np.max(np.abs(vals[side][::2] - coarse))) / 3.0)
+            err = float(np.max(np.abs(vals[::2] - coarse))) / 3.0
             del coarse
+        accs.append(PhaseAccumulator(vals, err))
     del sq  # the correction loop below holds neither
-    acc_u = PhaseAccumulator(vals[0], err)
-    acc_v = PhaseAccumulator(vals[1], err)
-    series_f = []
-    series_g = []
-    for m, state in enumerate(traj.snapshots):
-        pair = spectra.pop(0)  # never hold both whole series at once
-        for series, spec, acc in ((series_f, pair[0], acc_v), (series_g, pair[1], acc_u)):
-            series.append(
-                (state.t, spec.with_samples(spec.samples * np.exp(1j * RESONANT_COEFF * acc.values[m])))
-            )
-    return series_f, series_g, acc_u, acc_v
+    acc_u, acc_v = accs
+    w_f, w_g = [], []
+    for m in range(len(times)):
+        f_hat, g_hat = spectra.pop(0)  # never hold both whole series at once
+        w_f.append(f_hat.samples * np.exp(1j * RESONANT_COEFF * acc_v.values[m]))
+        w_g.append(g_hat.samples * np.exp(1j * RESONANT_COEFF * acc_u.values[m]))
+    return w_f, w_g, acc_u, acc_v
 
 
-def reduced_ode_residual(traj: Trajectory, m: int, acc_v: PhaseAccumulator) -> float:
+def reduced_ode_residual(traj: Trajectory, m: int, w_f, acc_v: PhaseAccumulator) -> float:
     """
     L2 mismatch between the central-difference time derivative of w_f across
     snapshots m-1, m+1 and the closed-form right-hand side B * R at snapshot
-    m, with acc_v = corrected_spectra(traj)[3].  Second order in the
+    m, with (w_f, acc_v) from corrected_spectra(traj).  Second order in the
     snapshot spacing.
     """
     if not 1 <= m <= len(traj.snapshots) - 2:
         raise ValueError("m must be an interior snapshot index")
-    states = traj.snapshots[m - 1 : m + 2]
-    spectra = [profile_spectra(state) for state in states]
-    w = [
-        f_hat.samples * np.exp(1j * RESONANT_COEFF * acc_v.values[k])
-        for k, (f_hat, _) in enumerate(spectra, start=m - 1)
-    ]
-    t_lo, t_mid, t_hi = (s.t for s in states)
+    t_lo, t_mid, t_hi = traj.times[m - 1 : m + 2]
     h_minus = t_mid - t_lo
     h_plus = t_hi - t_mid
     deriv = (
-        h_minus**2 * (w[2] - w[1]) + h_plus**2 * (w[1] - w[0])
+        h_minus**2 * (w_f[m + 1] - w_f[m]) + h_plus**2 * (w_f[m] - w_f[m - 1])
     ) / (h_minus * h_plus * (h_minus + h_plus))
     rhs = np.exp(1j * RESONANT_COEFF * acc_v.values[m]) * remainder_physical(
-        TrilinearInput(*spectra[1], t_mid)
+        TrilinearInput(*profile_spectra(traj.snapshots[m]), t_mid)
     ).samples
     diff = ComplexField(traj.grid, deriv - rhs, SPECTRAL)
     return norm_L2(diff)
@@ -148,40 +140,36 @@ class ScatteringEstimate:
     window: tuple[float, float]
 
 
-def _cauchy_pairs(series) -> list[tuple[float, float]]:
-    times = np.array([t for t, _ in series])
+def _cauchy_pairs(times: np.ndarray, rows) -> list[tuple[float, float]]:
+    """Dyadic differences max|w(t_j) - w(t_i)|, t_j the time nearest 2 t_i (within 1e-9)."""
     pairs = []
-    for i, (t, f) in enumerate(series):
-        hits = np.nonzero(np.abs(times - 2.0 * t) <= 1e-9 * times)[0]
-        if hits.size:
-            j = int(hits[0])
-            diff = series[j][1].samples - f.samples
-            pairs.append((t, float(np.max(np.abs(diff)))))
+    for t, w in zip(times, rows):
+        j = int(np.argmin(np.abs(times - 2.0 * t)))
+        if abs(times[j] - 2.0 * t) <= 1e-9 * times[j]:
+            pairs.append((float(t), float(np.max(np.abs(rows[j] - w)))))
     return pairs
 
 
-def estimate_limit(series, n: int) -> ScatteringEstimate:
+def estimate_limit(times: np.ndarray, rows, grid: Grid1D, n: int) -> ScatteringEstimate:
     """
-    Anchor the limit estimate W at the last snapshot and Gamma at the phase
-    offset's last value, measure every snapshot's distance to W, and quantify
+    Anchor the limit estimate W at the last row and Gamma at the phase
+    offset's last row, measure every row's distance to W, and quantify
     convergence by fitting the max-norm and weighted-norm distances over
-    t <= t_max/4 (the anchor's trivial zero is excluded).  Dyadic Cauchy
-    differences are reported alongside as the anchor-free diagnostic.
+    t <= t_max/4 (the anchor's trivial zero is excluded).  rows[m] holds the
+    spectral samples at the increasing snapshot time times[m] >= 1.  Dyadic
+    Cauchy differences are reported alongside as the anchor-free diagnostic.
     """
-    if len(series) < 4:
+    if len(rows) < 4:
         raise ValueError("limit estimation needs at least 4 snapshots")
-    times = np.array([t for t, _ in series])
-    if np.any(np.diff(times) <= 0) or times[0] < 1.0:
-        raise ValueError("snapshot times must be increasing and >= 1")
     if times[-1] / times[0] < 10.0:
         raise ValueError("limit estimation needs at least one decade of time")
-    w_last = series[-1][1]
+    w_last = ComplexField(grid, rows[-1], SPECTRAL)
     w_peak = norm_Linf(w_last)
     t_max = times[-1]
-    diff_linf = np.empty(len(series))
-    diff_h0n = np.empty(len(series))
-    for i, (_, f) in enumerate(series):
-        diff = ComplexField(f.grid, f.samples - w_last.samples, SPECTRAL)
+    diff_linf = np.empty(len(rows))
+    diff_h0n = np.empty(len(rows))
+    for i, w in enumerate(rows):
+        diff = ComplexField(grid, w - w_last.samples, SPECTRAL)
         diff_linf[i] = norm_Linf(diff)
         diff_h0n[i] = norm_H0n(diff, n, scale=w_peak)
     fit = times <= t_max / 4.0
@@ -195,32 +183,30 @@ def estimate_limit(series, n: int) -> ScatteringEstimate:
         fit_h0n = None
     return ScatteringEstimate(
         W=w_last,
-        gamma_limit=phase_offset(series)[1],
+        gamma_limit=phase_offset(times, rows)[-1].copy(),  # not a view holding every row
         diff_linf=diff_linf,
         diff_h0n=diff_h0n,
         fit_linf=fit_linf,
         fit_h0n=fit_h0n,
-        cauchy=tuple(_cauchy_pairs(series)),
+        cauchy=tuple(_cauchy_pairs(times, rows)),
         window=(float(times[0]), float(t_max)),
     )
 
 
-def phase_offset(series) -> tuple[list[tuple[float, np.ndarray]], np.ndarray]:
+def phase_offset(times: np.ndarray, rows) -> np.ndarray:
     """
     Running phase offset gamma(t) = integral_1^t (|w(tau)|^2 - |w(t)|^2)
-    dtau/tau per frequency, evaluated as Phi(t) - |w(t)|^2 ln t with the same
-    log-time trapezoid as the phase accumulators, and its anchor Gamma at the
-    last snapshot.
+    dtau/tau per frequency, one row per snapshot, evaluated as
+    Phi(t) - |w(t)|^2 ln t with the same log-time trapezoid as the phase
+    accumulators.  The last row is the anchor Gamma.
     """
-    if len(series) < 2:
+    if len(rows) < 2:
         raise ValueError("phase offset needs at least 2 snapshots")
-    times = np.array([t for t, _ in series])
-    squares = np.array([np.abs(f.samples) ** 2 for _, f in series])
-    phi = _log_trapezoid_rows(times, squares)
-    out = []
-    for m, (t, _) in enumerate(series):
-        out.append((t, phi[m] - squares[m] * np.log(t)))
-    return out, out[-1][1]
+    squares = np.array([np.abs(w) ** 2 for w in rows])
+    out = _log_trapezoid_rows(times, squares)
+    for m, t in enumerate(times):
+        out[m] -= squares[m] * np.log(t)
+    return out
 
 
 def _closed_form_gap(
@@ -293,14 +279,14 @@ class TrajectoryAnalysis:
 def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> TrajectoryAnalysis:
     """Run the full per-snapshot analysis; quantities that need a longer
     window or a finer frequency grid degrade to None/NaN rather than fail."""
-    series_f, series_g = corrected_spectra(traj)[:2]  # drops the phase accumulators
+    w_f, w_g = corrected_spectra(traj)[:2]  # drops the phase accumulators
     times = traj.times
     try:
-        est_u = estimate_limit(series_f, traj.params.n)
-        est_v = estimate_limit(series_g, traj.params.n)
+        est_u = estimate_limit(times, w_f, traj.grid, traj.params.n)
+        est_v = estimate_limit(times, w_g, traj.grid, traj.params.n)
     except ValueError:
         est_u = est_v = None
-    del series_f, series_g  # only the estimates are read; the ray pass reuses this
+    del w_f, w_g  # only the estimates are read; the ray pass reuses this
 
     m = len(times)
     u_linf = np.array([norm_Linf(s.u) for s in traj.snapshots])

@@ -192,7 +192,6 @@ def evolve(
     dt: float,
     schedule: Sequence[float],
     params: AnalysisParams,
-    check_domain: bool = True,
 ) -> Trajectory:
     """
     Integrate from t = 1, landing exactly on every requested snapshot time.
@@ -208,8 +207,7 @@ def evolve(
     times = np.unique(np.concatenate([[1.0], np.asarray(schedule, dtype=float)]))
     if times[0] < 1.0 or times[-1] > t_end * (1 + 1e-12):
         raise ValueError("schedule must lie inside [1, t_end]")
-    if check_domain:
-        check_domain_for_horizon(initial.u, initial.v, t_end)
+    check_domain_for_horizon(initial.u, initial.v, t_end)
 
     grid = initial.grid
     u = initial.u.samples.copy()

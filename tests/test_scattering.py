@@ -45,14 +45,14 @@ def physical_profiles(state):
 def corrected_checked(traj):
     """corrected_spectra(traj), after checking that every corrected spectrum is
     bitwise fhat_m exp(i c Phi_v[m]) (ghat_m exp(i c Phi_u[m])) at its own m."""
-    out = series_f, series_g, acc_u, acc_v = sl.corrected_spectra(traj)
+    out = w_f, w_g, acc_u, acc_v = sl.corrected_spectra(traj)
+    assert len(w_f) == len(w_g) == len(traj.snapshots)
     for m, state in enumerate(traj.snapshots):
         f_hat, g_hat = sl.profile_spectra(state)
-        w_f = f_hat.samples * np.exp(1j * RESONANT_COEFF * acc_v.values[m])
-        w_g = g_hat.samples * np.exp(1j * RESONANT_COEFF * acc_u.values[m])
-        assert series_f[m][0] == series_g[m][0] == state.t
-        assert np.array_equal(bits(series_f[m][1].samples), bits(w_f)), f"w_f at m = {m}"
-        assert np.array_equal(bits(series_g[m][1].samples), bits(w_g)), f"w_g at m = {m}"
+        expect_f = f_hat.samples * np.exp(1j * RESONANT_COEFF * acc_v.values[m])
+        expect_g = g_hat.samples * np.exp(1j * RESONANT_COEFF * acc_u.values[m])
+        assert np.array_equal(bits(w_f[m]), bits(expect_f)), f"w_f at m = {m}"
+        assert np.array_equal(bits(w_g[m]), bits(expect_g)), f"w_g at m = {m}"
     return out
 
 
@@ -118,6 +118,26 @@ class TestAccumulatePhase:
         assert coarse.quadrature_error > 0
         assert d1 / 10 <= 3 * coarse.quadrature_error <= 10 * d1
 
+    def test_each_accumulator_reports_its_own_error(self):
+        # v at 1% of u's amplitude: the two components' estimates differ, and
+        # each is the coarse-vs-fine gap of its own log-time trapezoid / 3
+        grid = sl.Grid1D(L=240.0, N=512)
+        u1, _ = sl.initial_pair(grid, "gaussian", 0.2, 3.0)
+        v1 = sl.ComplexField(grid, 0.01 * u1.samples, "physical")
+        params = sl.AnalysisParams.make(epsilon=0.2)
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), 16.0, 0.05, sl.geometric_schedule(16.0), params)
+        acc_u, acc_v = sl.corrected_spectra(traj)[2:]
+        times = traj.times
+        sigma = np.log(times[::2])
+        for side, acc in ((0, acc_u), (1, acc_v)):
+            sq = np.array([np.abs(sl.profile_spectra(s)[side].samples) ** 2 for s in traj.snapshots])
+            coarse = np.zeros_like(sq[::2])
+            for k in range(1, len(sigma)):
+                coarse[k] = coarse[k - 1] + 0.5 * (sigma[k] - sigma[k - 1]) * (sq[2 * k] + sq[2 * k - 2])
+            own = float(np.max(np.abs(acc.values[::2] - coarse))) / 3.0
+            assert abs(acc.quadrature_error - own) <= 1e-12 * own, side
+        assert acc_u.quadrature_error != acc_v.quadrature_error
+
 
 class TestPhaseCorrection:
     def test_zero_accumulator_is_identity(self):
@@ -129,17 +149,22 @@ class TestPhaseCorrection:
             sl.PairState(sl.free_evolve(u1, t - 1.0), zero, float(t)) for t in sl.geometric_schedule(16.0)
         )
         traj = sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=0.3), snapshots=snaps, dt=0.1)
-        series_f, _, _, acc_v = corrected_checked(traj)
+        w_f, _, _, acc_v = corrected_checked(traj)
         assert np.all(acc_v.values == 0)
-        for (_, w), state in zip(series_f, traj.snapshots):
+        for w, state in zip(w_f, traj.snapshots):
             f_hat, _ = sl.profile_spectra(state)
-            assert np.array_equal(w.samples, f_hat.samples)
+            assert np.array_equal(w, f_hat.samples)
 
     def test_modulus_preserved(self, richardson_traj):
-        series_f = corrected_checked(richardson_traj)[0]
+        w = corrected_checked(richardson_traj)[0][5]
         f_hat, _ = sl.profile_spectra(richardson_traj.snapshots[5])
-        w = series_f[5][1]
-        assert np.max(np.abs(np.abs(w.samples) - np.abs(f_hat.samples))) < 1e-15
+        assert np.max(np.abs(np.abs(w) - np.abs(f_hat.samples))) < 1e-15
+
+    def test_formula_bitwise_above_elision_size(self):
+        # from 2^14 complex points on, numpy evaluates fhat * np.exp(...) in
+        # place as exp * fhat, and the complex product is not bitwise
+        # commutative: the formula check must hold at that size too
+        corrected_checked(free_pair_trajectory(t_end=8.0, L=700.0, N=2**14))
 
     def test_explicit_half_turn(self):
         # v a free point mass: |vhat|^2 is the same at every frequency and
@@ -156,9 +181,9 @@ class TestPhaseCorrection:
             sl.PairState(sl.free_evolve(u1, t - 1.0), sl.free_evolve(v1, t - 1.0), t) for t in (1.0, 2.0)
         )
         traj = sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=0.3), snapshots=snaps, dt=0.1)
-        w = corrected_checked(traj)[0][1][1]
+        w = corrected_checked(traj)[0][1]
         f_hat, _ = sl.profile_spectra(snaps[1])
-        assert np.max(np.abs(w.samples + f_hat.samples)) < 1e-14
+        assert np.max(np.abs(w + f_hat.samples)) < 1e-14
 
     @pytest.mark.parametrize(
         "times",
@@ -182,7 +207,8 @@ class TestPhaseCorrection:
 class TestReducedOde:
     def test_zero_trajectory(self):
         traj = zero_trajectory()
-        assert sl.reduced_ode_residual(traj, 2, sl.corrected_spectra(traj)[3]) == 0.0
+        w_f, _, _, acc_v = sl.corrected_spectra(traj)
+        assert sl.reduced_ode_residual(traj, 2, w_f, acc_v) == 0.0
 
     def test_linear_case_small(self):
         # v = 0: both the derivative and the right-hand side vanish
@@ -192,11 +218,12 @@ class TestReducedOde:
         params = sl.AnalysisParams.make(epsilon=0.2)
         sched = sl.geometric_schedule(21.0)
         traj = sl.evolve(sl.PairState(u1, zero, 1.0), 21.0, 0.05, sched, params)
-        assert sl.reduced_ode_residual(traj, 5, sl.corrected_spectra(traj)[3]) < 1e-11
+        w_f, _, _, acc_v = sl.corrected_spectra(traj)
+        assert sl.reduced_ode_residual(traj, 5, w_f, acc_v) < 1e-11
 
     def test_profile_spectra_once_per_snapshot(self, monkeypatch):
         traj = zero_trajectory()
-        acc_v = sl.corrected_spectra(traj)[3]
+        w_f, _, _, acc_v = sl.corrected_spectra(traj)
         calls = []
 
         def counting(state):
@@ -204,15 +231,16 @@ class TestReducedOde:
             return sl.profile_spectra(state)
 
         monkeypatch.setattr(scattering, "profile_spectra", counting)
-        sl.reduced_ode_residual(traj, 2, acc_v)
-        assert calls == [s.t for s in traj.snapshots[1:4]]
+        sl.reduced_ode_residual(traj, 2, w_f, acc_v)
+        # the rows come from w_f; only the right-hand side needs snapshot 2's
+        assert calls == [traj.snapshots[2].t]
 
     def test_boundary_index_rejected(self, richardson_traj):
-        acc_v = sl.corrected_spectra(richardson_traj)[3]
+        w_f, _, _, acc_v = sl.corrected_spectra(richardson_traj)
         with pytest.raises(ValueError):
-            sl.reduced_ode_residual(richardson_traj, 0, acc_v)
+            sl.reduced_ode_residual(richardson_traj, 0, w_f, acc_v)
         with pytest.raises(ValueError):
-            sl.reduced_ode_residual(richardson_traj, len(richardson_traj.snapshots) - 1, acc_v)
+            sl.reduced_ode_residual(richardson_traj, len(richardson_traj.snapshots) - 1, w_f, acc_v)
 
 
 class TestEstimateLimit:
@@ -221,8 +249,8 @@ class TestEstimateLimit:
         rng = np.random.default_rng(3)
         z = grid.xi / 0.5
         f = sl.ComplexField(grid, np.exp(-(z**2) / 2) * (1 + 0.1 * z), "spectral")
-        series = [(t, f) for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
-        est = sl.estimate_limit(series, n=1)
+        times = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
+        est = sl.estimate_limit(times, [f.samples] * len(times), grid, n=1)
         assert np.array_equal(est.W.samples, f.samples)
         assert est.fit_linf is None  # differences identically zero
         assert all(d == 0.0 for _, d in est.cauchy)
@@ -238,8 +266,8 @@ class TestEstimateLimit:
             for t in sl.geometric_schedule(32.0)
         )
         traj = sl.Trajectory(grid=grid, params=params, snapshots=snaps, dt=0.1)
-        series_f, _, _, _ = sl.corrected_spectra(traj)
-        est = sl.estimate_limit(series_f, n=1)
+        w_f = sl.corrected_spectra(traj)[0]
+        est = sl.estimate_limit(traj.times, w_f, grid, n=1)
         u1_hat = sl.fourier_forward(u1)
         expect = np.exp(1j * grid.xi**2) * u1_hat.samples
         assert np.max(np.abs(est.W.samples - expect)) < 1e-11
@@ -247,20 +275,21 @@ class TestEstimateLimit:
     def test_window_shorter_than_decade_rejected(self):
         grid = sl.Grid1D(L=30.0, N=128)
         f = sl.ComplexField(grid, np.exp(-grid.xi**2), "spectral")
-        series = [(t, f) for t in (1.0, 2.0, 4.0, 8.0)]
+        times = np.array([1.0, 2.0, 4.0, 8.0])
         with pytest.raises(ValueError, match="decade"):
-            sl.estimate_limit(series, n=1)
+            sl.estimate_limit(times, [f.samples] * len(times), grid, n=1)
 
     def test_distances_and_fit_window(self):
         grid = sl.Grid1D(L=30.0, N=128)
         f = sl.ComplexField(grid, np.exp(-grid.xi**2), "spectral")
         times = np.array([1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0])
-        series = [(t, f.with_samples(f.samples * (1 + 1 / t))) for t in times]
-        est = sl.estimate_limit(series, n=1)
-        W = series[-1][1]
-        assert np.array_equal(est.gamma_limit, sl.phase_offset(series)[1])
-        for i, (_, w) in enumerate(series):
-            diff = sl.ComplexField(grid, w.samples - W.samples, "spectral")
+        rows = [f.samples * (1 + 1 / t) for t in times]
+        est = sl.estimate_limit(times, rows, grid, n=1)
+        W = sl.ComplexField(grid, rows[-1], "spectral")
+        assert np.array_equal(est.W.samples, W.samples)
+        assert np.array_equal(est.gamma_limit, sl.phase_offset(times, rows)[-1])
+        for i, w in enumerate(rows):
+            diff = sl.ComplexField(grid, w - W.samples, "spectral")
             assert est.diff_linf[i] == sl.norm_Linf(diff)
             assert est.diff_h0n[i] == sl.norm_H0n(diff, 1, scale=sl.norm_Linf(W))
         assert est.diff_linf[-1] == 0.0
@@ -272,21 +301,34 @@ class TestEstimateLimit:
     def test_cauchy_pairs_matching(self):
         grid = sl.Grid1D(L=30.0, N=128)
         f = sl.ComplexField(grid, np.exp(-grid.xi**2), "spectral")
-        series = [(t, f.with_samples(f.samples / t)) for t in (1.0, 2.0, 4.0, 8.0)]
-        pairs = _cauchy_pairs(series)
+        times = np.array([1.0, 2.0, 4.0, 8.0])
+        pairs = _cauchy_pairs(times, [f.samples / t for t in times])
         assert [t for t, _ in pairs] == [1.0, 2.0, 4.0]
         # |f/2t - f/t| = |f| / 2t
         for t, d in pairs:
             assert abs(d - np.max(np.abs(f.samples)) / (2 * t)) < 1e-14
 
+    def test_cauchy_pairs_take_the_nearest_partner(self):
+        # 2(1 - 5e-10) and 2 both match 2 * 1 within the tolerance; t = 1
+        # pairs with 2 itself, and 2(1 - 5e-10) with 4
+        grid = sl.Grid1D(L=30.0, N=128)
+        f = sl.ComplexField(grid, np.exp(-grid.xi**2), "spectral")
+        times = np.array([1.0, 2.0 * (1 - 5e-10), 2.0, 4.0])
+        pairs = _cauchy_pairs(times, [f.samples / t for t in times])
+        assert [t for t, _ in pairs] == list(times[:3])
+        peak = np.max(np.abs(f.samples))
+        for (t, d), partner in zip(pairs, (2.0, 4.0, 4.0)):
+            assert abs(d - peak * (1 / t - 1 / partner)) < 1e-14, t
+
 
 class TestPhaseOffset:
     def test_constant_modulus_gives_zero(self):
         traj = free_pair_trajectory(t_end=32.0)
-        _, series_g, _, _ = sl.corrected_spectra(traj)
-        gammas, limit = sl.phase_offset(series_g)
-        assert np.max(np.abs(limit)) < 1e-12
-        for _, gamma in gammas:
+        w_g = sl.corrected_spectra(traj)[1]
+        gammas = sl.phase_offset(traj.times, w_g)
+        assert gammas.shape == (len(traj.snapshots), traj.grid.N)
+        assert np.max(np.abs(gammas[-1])) < 1e-12
+        for gamma in gammas:
             assert np.max(np.abs(gamma)) < 1e-12
 
     def test_synthetic_inverse_time_modulus(self):
@@ -294,24 +336,19 @@ class TestPhaseOffset:
         grid = sl.Grid1D(L=16.0, N=64)
         c, b = 0.3, 0.5
         times = np.geomspace(1.0, 64.0, 97)
-        series = []
-        for t in times:
-            mag = np.sqrt(c + b / t)
-            series.append((float(t), sl.ComplexField(grid, np.full(64, mag), "spectral")))
-        gammas, limit = sl.phase_offset(series)
-        for (t, gamma), t_ref in zip(gammas, times):
+        rows = [np.full(grid.N, np.sqrt(c + b / t), dtype=complex) for t in times]
+        gammas = sl.phase_offset(times, rows)
+        for t, gamma in zip(times, gammas):
             oracle = b * (1 - 1 / t) - b * np.log(t) / t
             assert np.max(np.abs(gamma - oracle)) < 2e-4
-        assert np.max(np.abs(limit - (b * (1 - 1 / 64.0) - b * np.log(64.0) / 64.0))) < 2e-4
+        assert np.max(np.abs(gammas[-1] - (b * (1 - 1 / 64.0) - b * np.log(64.0) / 64.0))) < 2e-4
 
     def test_identity_with_accumulator(self, richardson_traj):
         # gamma + |w|^2 ln t recomposes the running integral exactly
-        series_f, series_g, acc_u, acc_v = sl.corrected_spectra(richardson_traj)
-        gammas, _ = sl.phase_offset(series_g)
-        for m, (t, gamma) in enumerate(gammas):
-            recomposed = gamma + np.abs(
-                dict((tt, w) for tt, w in series_g)[t].samples
-            ) ** 2 * np.log(t)
+        _, w_g, _, acc_v = sl.corrected_spectra(richardson_traj)
+        gammas = sl.phase_offset(richardson_traj.times, w_g)
+        for m, t in enumerate(richardson_traj.times):
+            recomposed = gammas[m] + np.abs(w_g[m]) ** 2 * np.log(t)
             assert np.max(np.abs(recomposed - acc_v.values[m])) < 1e-12
 
 
@@ -325,11 +362,22 @@ class TestExchangeSymmetry:
         t2 = sl.evolve(sl.PairState(v1, u1, 1.0), 12.0, 0.02, sched, params)
         sf1, sg1, _, _ = sl.corrected_spectra(t1)
         sf2, sg2, _, _ = sl.corrected_spectra(t2)
-        for (ta, wa), (tb, wb) in zip(sf1, sg2):
-            assert ta == tb
-            assert np.array_equal(wa.samples, wb.samples)
-        for (ta, wa), (tb, wb) in zip(sg1, sf2):
-            assert np.array_equal(wa.samples, wb.samples)
+        assert np.array_equal(t1.times, t2.times)
+        assert len(sf1) == len(sg2) == len(sg1) == len(sf2)
+        for wa, wb in zip(sf1, sg2):
+            assert np.array_equal(wa, wb)
+        for wa, wb in zip(sg1, sf2):
+            assert np.array_equal(wa, wb)
+
+
+class TestAnalysis:
+    def test_estimates_own_their_arrays(self):
+        # a view into the phase-offset rows would keep every row alive
+        # through the ray pass
+        analysis = sl.analyze_trajectory(free_pair_trajectory(t_end=32.0))
+        for est in (analysis.est_u, analysis.est_v):
+            assert est.gamma_limit.base is None
+            assert est.W.samples.base is None
 
 
 class TestAsymptoticResidual:

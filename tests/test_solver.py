@@ -15,12 +15,16 @@ def small_pair(grid, eps=0.2, width=3.0):
     return sl.initial_pair(grid, "gaussian", eps, width)
 
 
-def run(grid, u1, v1, t_end, dt, ratio=2.0**0.25, check_domain=True, eps=0.2):
+def run(grid, u1, v1, t_end, dt, ratio=2.0**0.25, eps=0.2):
     params = sl.AnalysisParams.make(epsilon=eps)
     schedule = sl.geometric_schedule(t_end, ratio)
-    return sl.evolve(
-        sl.PairState(u1, v1, 1.0), t_end, dt, schedule, params, check_domain=check_domain
-    )
+    return sl.evolve(sl.PairState(u1, v1, 1.0), t_end, dt, schedule, params)
+
+
+def skip_sizing_rule(monkeypatch):
+    """Let evolve start on a box the sizing rule rejects, to reach the
+    in-flight wrap guard."""
+    monkeypatch.setattr(solver, "check_domain_for_horizon", lambda u1, v1, t_end: None)
 
 
 def sequential_evolve(u, v, grid, times, dt):
@@ -200,12 +204,13 @@ class TestEvolve:
             assert abs(m[0] - m0[0]) < 1e-10 * m0[0]
             assert abs(m[1] - m0[1]) < 1e-10 * m0[1]
 
-    def test_boundary_wrap_detected(self):
+    def test_boundary_wrap_detected(self, monkeypatch):
         # deliberately undersized box, sizing rule bypassed
+        skip_sizing_rule(monkeypatch)
         grid = sl.Grid1D(L=30.0, N=256)
         u1, v1 = small_pair(grid, eps=0.5, width=1.0)
         with pytest.raises(BoundaryWrapError):
-            run(grid, u1, v1, 30.0, 0.05, check_domain=False, eps=0.5)
+            run(grid, u1, v1, 30.0, 0.05, eps=0.5)
 
     def test_domain_sizing_rule_enforced(self):
         grid = sl.Grid1D(L=30.0, N=256)
@@ -272,12 +277,13 @@ class TestThreadedKernel:
         run(grid, u1, v1, 3.0, 0.05, eps=0.1)
         assert threading.active_count() == before
 
-    def test_no_thread_outlives_failed_evolve(self):
+    def test_no_thread_outlives_failed_evolve(self, monkeypatch):
+        skip_sizing_rule(monkeypatch)
         grid = sl.Grid1D(L=30.0, N=256)
         u1, v1 = small_pair(grid, eps=0.5, width=1.0)
         before = threading.active_count()
         with pytest.raises(BoundaryWrapError):
-            run(grid, u1, v1, 30.0, 0.05, check_domain=False, eps=0.5)
+            run(grid, u1, v1, 30.0, 0.05, eps=0.5)
         assert threading.active_count() == before
 
 
