@@ -10,7 +10,7 @@ pure roundoff.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -103,38 +103,78 @@ def strang_step(state: PairState, dt: float) -> PairState:
     return PairState(ComplexField(g, u, PHYSICAL), ComplexField(g, v, PHYSICAL), state.t + dt)
 
 
-def _rotate(a: np.ndarray, h: float, m_other: np.ndarray) -> np.ndarray:
+# numpy elides a temporary operand of at least this many bytes, evaluating
+# a * tmp in place as multiply(tmp, a, out=tmp)
+_ELIDE_BYTES = 256 * 1024
+
+
+def _rotate(
+    a: np.ndarray, h: float, m_other: np.ndarray, out: np.ndarray, angle: np.ndarray
+) -> np.ndarray:
     """Potential flow of one field over time h under the other's frozen
-    modulus m_other = |other|^2; bitwise a * np.exp(-1j * h * m_other) but
-    for the sign of zero parts of a where m_other = 0."""
-    # numpy's complex product is not bitwise commutative, and its temporary
-    # elision picks the operand order from this expression's form: the phase
-    # factor must stay an unnamed temporary returned by a call, which numpy
-    # elides as it does np.exp's result, for the order of a * np.exp(...)
-    return a * _cis(-h * m_other)
+    modulus m_other = |other|^2, written into out, with angle as scratch for
+    -h * m_other.  Bitwise a * np.exp(-1j * h * m_other) but for the sign of
+    zero parts of a where m_other = 0 (the sine of -0.0 is -0.0)."""
+    np.multiply(m_other, -h, out=angle)
+    _cis(angle, out)
+    # numpy's complex product is not bitwise commutative: keep the operand
+    # order numpy's temporary elision gives a * np.exp(...)
+    if out.nbytes >= _ELIDE_BYTES:
+        return np.multiply(out, a, out=out)
+    return np.multiply(a, out, out=out)
 
 
-def _field_task(a: np.ndarray, h_prev: float | None, m_other: np.ndarray | None, mult: np.ndarray):
-    """One field's share of a step: the previous step's rotation (none before
-    the first step), the linear multiplier, and the field's own modulus for
-    the other field's next rotation.  Transforms overwrite only buffers this
-    task made: the input a of a segment's first step is the caller's."""
-    if m_other is None:
-        f = fft(a)
-    else:
-        f = fft(_rotate(a, h_prev, m_other), overwrite_x=True)
-    f *= mult
-    a = ifft(f, overwrite_x=True)
-    return a, np.abs(a) ** 2
+def _lane(
+    a: np.ndarray,
+    fields: np.ndarray,
+    angle: np.ndarray,
+    moduli: np.ndarray,
+    lane: int,
+    mults: list[np.ndarray],
+    steps: Sequence[float],
+    barrier: threading.Barrier,
+) -> np.ndarray:
+    """
+    One field's whole run in its own workspace: two field buffers
+    (fields[0], fields[1]) used in turn, one angle buffer, and its two
+    modulus slots moduli[lane].  The field starts as a copy of a in
+    fields[0]; step k rotates it by the other field's modulus from step k-1
+    (none before the first step) into fields[k % 2], transforms there in
+    place, and publishes the field's own modulus in slot k % 2 before the
+    step's barrier.  The other lane reads that slot in step k+1, and this
+    lane next writes it in step k+2, after the barrier of step k+1.
+    """
+    f = fields[0]
+    np.copyto(f, a)
+    own, other = moduli[lane], moduli[1 - lane]
+    for k, mult in enumerate(mults):
+        if k:
+            f = _rotate(f, steps[k - 1], other[(k - 1) % 2], fields[k % 2], angle)
+        f = fft(f, overwrite_x=True)
+        f *= mult
+        f = ifft(f, overwrite_x=True)
+        if k < len(steps):
+            np.square(np.abs(f, out=own[k % 2]), out=own[k % 2])
+            barrier.wait()
+    return f
 
 
 def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[float]):
     """
     The stepping kernel: Strang steps of the given lengths with adjacent
-    linear half-steps fused (the same operator as repeated strang_step).  The
-    fields meet only through the moduli, so u advances on a worker thread and
-    v on this one, joined once per step; each field sees a sequential loop's
-    operations in order, so the output is bit-identical to it.
+    linear half-steps fused (the same operator as repeated strang_step).
+
+    The fields meet only through the moduli, so u and v each step on their
+    own lane thread (`_lane`), and the lanes exchange moduli through one
+    barrier per step.  Each field sees a sequential loop's operations in
+    order, so the output is bit-identical to it.  This thread allocates
+    every buffer before the lanes start, so the fields returned (rows of the
+    field block) live in its heap, and runs no transform itself: each scipy
+    FFT allocates a scratch buffer, which glibc's main arena gives back to
+    the OS after every call at N = 2^15 (hundreds of page faults per step),
+    while a lane's own arena keeps it.  A lane's exception aborts the
+    barrier, so the other lane stops at its next exchange, and is raised
+    here.
     """
 
     @cache
@@ -146,13 +186,45 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
         return half(prev) * half(h)
 
     mults = [half(steps[0]), *(fused(p, h) for p, h in zip(steps, steps[1:])), half(steps[-1])]
-    mu = mv = None
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        for h_prev, mult in zip((None, *steps), mults):
-            u_next = pool.submit(_field_task, u, h_prev, mv, mult)
-            v, mv = _field_task(v, h_prev, mu, mult)
-            u, mu = u_next.result()
-    return u, v
+    n = grid.N
+    # one block per kind: seven separate buffers, freed after each segment
+    # under the snapshots evolve copies, leave about 7 MB of holes in the
+    # heap by the end of the reference run
+    fields = np.empty((2, 2, n), np.complex128)  # [lane, buffer]
+    angles = np.empty((2, n))
+    moduli = np.empty((2, 2, n))  # [lane, slot]
+    barrier = threading.Barrier(2)
+    out: list[np.ndarray | None] = [None, None]
+    errors: list[BaseException] = []
+
+    def run(lane: int) -> None:
+        try:
+            out[lane] = _lane((u, v)[lane], fields[lane], angles[lane], moduli, lane, mults, steps, barrier)
+        except threading.BrokenBarrierError:
+            pass  # the other lane failed; its own error is the one raised
+        except BaseException as exc:  # raised again on the calling thread
+            barrier.abort()
+            errors.append(exc)
+
+    lanes = [
+        threading.Thread(target=run, args=(lane,), name=f"scatterlab-lane-{name}")
+        for lane, name in enumerate("uv")
+    ]
+    try:
+        for t in lanes:
+            t.start()
+        for t in lanes:
+            t.join()
+    finally:
+        # after an interrupt here, or a lane that never started, the other
+        # lane would wait at the barrier for ever
+        barrier.abort()
+        for t in lanes:
+            if t.is_alive():
+                t.join()
+    if errors:
+        raise errors[0]
+    return out[0], out[1]
 
 
 def _run_segment(u: np.ndarray, v: np.ndarray, grid: Grid1D, t0: float, t1: float, dt: float):

@@ -15,10 +15,13 @@ ASYM_T_END = 256.0
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_a_test():
-    """The solver's and the ray pass's worker threads live only for a call."""
-    before = threading.active_count()
+    """The solver's lanes and the ray pass's worker threads live only for a call."""
+    before = threading.enumerate()
     yield
-    assert threading.active_count() <= before, "a thread outlived the test"
+    after = threading.enumerate()
+    assert len(after) <= len(before), "threads outlived the test: " + ", ".join(
+        t.name for t in after if t not in before
+    )
 
 
 @pytest.fixture(scope="session")

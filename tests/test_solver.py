@@ -27,6 +27,11 @@ def skip_sizing_rule(monkeypatch):
     monkeypatch.setattr(solver, "check_domain_for_horizon", lambda u1, v1, t_end: None)
 
 
+def rotate(a, h, m):
+    """solver._rotate into fresh buffers."""
+    return solver._rotate(a, h, m, np.empty(a.shape, complex), np.empty(a.shape))
+
+
 def sequential_evolve(u, v, grid, times, dt):
     """Single-threaded oracle: the plain split-step loop, one field after the
     other with fused linear half-steps, returning (u, v) at every time."""
@@ -64,15 +69,15 @@ class TestNonlinearSubstep:
     def test_zero_potential_leaves_u(self):
         grid = sl.Grid1D(L=60.0, N=256)
         u1, _ = small_pair(grid)
-        out = solver._rotate(u1.samples, 0.3, np.zeros(grid.N))
+        out = rotate(u1.samples, 0.3, np.zeros(grid.N))
         assert np.array_equal(out, u1.samples)
 
     def test_scalar_rotation(self):
         spike = np.zeros(32, dtype=complex)
         spike[10] = 1.0
         m = np.abs(spike) ** 2
-        out_u = solver._rotate(spike, np.pi, m)
-        out_v = solver._rotate(spike, np.pi, m)
+        out_u = rotate(spike, np.pi, m)
+        out_v = rotate(spike, np.pi, m)
         assert abs(out_u[10] - (-1.0)) < 1e-15
         assert abs(out_v[10] - (-1.0)) < 1e-15
 
@@ -80,8 +85,8 @@ class TestNonlinearSubstep:
         rng = np.random.default_rng(0)
         u = rng.normal(size=256) + 1j * rng.normal(size=256)
         v = rng.normal(size=256) + 1j * rng.normal(size=256)
-        out_u = solver._rotate(u, 0.7, np.abs(v) ** 2)
-        out_v = solver._rotate(v, 0.7, np.abs(u) ** 2)
+        out_u = rotate(u, 0.7, np.abs(v) ** 2)
+        out_v = rotate(v, 0.7, np.abs(u) ** 2)
         assert np.max(np.abs(np.abs(out_u) - np.abs(u))) < 1e-15
         assert np.max(np.abs(np.abs(out_v) - np.abs(v))) < 1e-15
 
@@ -107,7 +112,7 @@ class TestRotate:
         m[1::5] = rng.random(m[1::5].size) * np.finfo(float).tiny  # subnormal
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         want = a * np.exp(-1j * h * m)
-        assert np.array_equal(bits(solver._rotate(a, h, m)), bits(want))
+        assert np.array_equal(bits(rotate(a, h, m)), bits(want))
 
 
 class TestStrangStep:
@@ -237,8 +242,11 @@ class TestEvolve:
 
 
 class TestThreadedKernel:
+    # 2^13 and 2^14 straddle numpy's temporary-elision size, where the
+    # lanes' rotation switches its operand order
     @pytest.mark.parametrize(
-        "N, L", [(256, 80.0), (4096, 400.0), (2**15, 2400.0), (2**18, 2400.0)]
+        "N, L",
+        [(256, 80.0), (4096, 400.0), (2**13, 800.0), (2**14, 1600.0), (2**15, 2400.0), (2**18, 2400.0)],
     )
     def test_matches_sequential_loop_bitwise(self, N, L):
         # two segments, the second ending in a short step: about 20 steps,
@@ -262,13 +270,50 @@ class TestThreadedKernel:
         finally:
             sys.setswitchinterval(interval)
 
-    def test_worker_error_reaches_caller(self):
-        # u (the worker's field) cannot take the multiplier; v can
+    @pytest.mark.parametrize("wrong", ["u", "v"])
+    def test_lane_error_reaches_caller(self, wrong):
+        # the lane given the wrong size fails before its first step, while the
+        # other one steps on to the barrier; the call runs on a watched thread
+        # so that a hang fails the test
         grid = sl.Grid1D(L=80.0, N=256)
-        before = threading.active_count()
-        with pytest.raises(ValueError):
-            solver._step_fields(np.ones(128, complex), np.ones(256, complex), grid, [0.05])
-        assert threading.active_count() == before
+        fields = {"u": np.ones(256, complex), "v": np.ones(256, complex)}
+        fields[wrong] = np.ones(128, complex)
+        raised = []
+
+        def call():
+            try:
+                solver._step_fields(fields["u"], fields["v"], grid, [0.05, 0.05])
+            except Exception as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(raised) == 1 and type(raised[0]) is ValueError
+        assert "(128,)" in str(raised[0])
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
+
+    def test_calling_thread_runs_no_transform(self, monkeypatch):
+        # every transform runs on a lane, in place in that lane's buffers
+        calls = []
+
+        def watching(transform):
+            def watched(x, *args, **kwargs):
+                out = transform(x, *args, **kwargs)
+                calls.append((threading.current_thread().name, np.shares_memory(out, x)))
+                return out
+
+            return watched
+
+        monkeypatch.setattr(solver, "fft", watching(solver.fft))
+        monkeypatch.setattr(solver, "ifft", watching(solver.ifft))
+        grid = sl.Grid1D(L=80.0, N=256)
+        u1, v1 = small_pair(grid)
+        solver._step_fields(u1.samples, v1.samples, grid, [0.05, 0.05, 0.02])
+        # three steps are four transform pairs per field
+        lanes = ["scatterlab-lane-u", "scatterlab-lane-v"]
+        assert sorted(calls) == [(lane, True) for lane in lanes for _ in range(8)]
 
     def test_no_thread_outlives_evolve(self):
         grid = sl.Grid1D(L=200.0, N=256)
