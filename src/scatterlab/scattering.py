@@ -24,6 +24,7 @@ from .spectral import (
     SPECTRAL,
     ComplexField,
     Grid1D,
+    _times_temporary,
     fourier_inverse,
     norm_H0n,
     norm_L1,
@@ -69,38 +70,33 @@ def corrected_spectra(traj: Trajectory):
     """
     Per-snapshot phase-corrected spectra for both components:
     w_f = fhat * B(vhat), w_g = ghat * B(uhat).  Returns (w_f, w_g, acc_u,
-    acc_v) with w_f[m], w_g[m] the spectral-side sample arrays of
-    traj.snapshots[m]; acc_u integrates |uhat|^2/s (driving the correction
-    applied to ghat), acc_v |vhat|^2/s (driving the one applied to fhat), and
-    each reports its own quadrature error.  The free group is unimodular, so
-    |fhat| = |uhat| and |ghat| = |vhat| pointwise.  Each snapshot's profile
-    spectra are computed once and feed both the phase accumulation and the
-    correction; one component's squared moduli are held at a time.
+    acc_v) with w_f[m], w_g[m] the spectral-side sample rows of
+    traj.snapshots[m], views of one profile block corrected in place; acc_u
+    integrates |uhat|^2/s (driving the correction applied to ghat), acc_v
+    |vhat|^2/s (driving the one applied to fhat), and each reports its own
+    quadrature error.  The free group is unimodular, so |fhat| = |uhat| and
+    |ghat| = |vhat| pointwise.
     """
     if len(traj.snapshots) < 2:
         raise ValueError("phase accumulation needs at least 2 snapshots")
     times = traj.times
-    spectra = [profile_spectra(state) for state in traj.snapshots]
-    sq = np.empty((len(times), traj.grid.N))
+    block = profile_spectra(traj.snapshots)
     accs = []
     for side in (0, 1):
-        for m, pair in enumerate(spectra):
-            sq[m] = np.abs(pair[side].samples) ** 2
+        sq = np.abs(block[:, side]) ** 2
         vals = _log_trapezoid_rows(times, sq)
         err = 0.0
         if len(times) >= 5:
             coarse = _log_trapezoid_rows(times[::2], sq[::2])
             err = float(np.max(np.abs(vals[::2] - coarse))) / 3.0
             del coarse
+        del sq  # before the other side's squares
         accs.append(PhaseAccumulator(vals, err))
-    del sq  # the correction loop below holds neither
     acc_u, acc_v = accs
-    w_f, w_g = [], []
     for m in range(len(times)):
-        f_hat, g_hat = spectra.pop(0)  # never hold both whole series at once
-        w_f.append(f_hat.samples * np.exp(1j * RESONANT_COEFF * acc_v.values[m]))
-        w_g.append(g_hat.samples * np.exp(1j * RESONANT_COEFF * acc_u.values[m]))
-    return w_f, w_g, acc_u, acc_v
+        for row, acc in ((block[m, 0], acc_v), (block[m, 1], acc_u)):
+            _times_temporary(row, np.exp(1j * RESONANT_COEFF * acc.values[m]), row)
+    return block[:, 0], block[:, 1], acc_u, acc_v
 
 
 def reduced_ode_residual(traj: Trajectory, m: int, w_f, acc_v: PhaseAccumulator) -> float:
@@ -118,9 +114,9 @@ def reduced_ode_residual(traj: Trajectory, m: int, w_f, acc_v: PhaseAccumulator)
     deriv = (
         h_minus**2 * (w_f[m + 1] - w_f[m]) + h_plus**2 * (w_f[m] - w_f[m - 1])
     ) / (h_minus * h_plus * (h_minus + h_plus))
-    rhs = np.exp(1j * RESONANT_COEFF * acc_v.values[m]) * remainder_physical(
-        TrilinearInput(*profile_spectra(traj.snapshots[m]), t_mid)
-    ).samples
+    pair = profile_spectra(traj.snapshots[m : m + 1])[0]
+    inp = TrilinearInput(*(ComplexField(traj.grid, row, SPECTRAL) for row in pair), t_mid)
+    rhs = np.exp(1j * RESONANT_COEFF * acc_v.values[m]) * remainder_physical(inp).samples
     diff = ComplexField(traj.grid, deriv - rhs, SPECTRAL)
     return norm_L2(diff)
 
@@ -169,9 +165,9 @@ def estimate_limit(times: np.ndarray, rows, grid: Grid1D, n: int) -> ScatteringE
     diff_linf = np.empty(len(rows))
     diff_h0n = np.empty(len(rows))
     for i, w in enumerate(rows):
-        diff = ComplexField(grid, w - w_last.samples, SPECTRAL)
-        diff_linf[i] = norm_Linf(diff)
-        diff_h0n[i] = norm_H0n(diff, n, scale=w_peak)
+        diff = w - w_last.samples
+        diff_linf[i] = np.max(np.abs(diff))
+        diff_h0n[i] = norm_H0n(ComplexField(grid, diff, SPECTRAL), n, scale=w_peak)
     fit = times <= t_max / 4.0
     try:
         fit_linf = fit_rate(times[fit], diff_linf[fit])
@@ -202,7 +198,7 @@ def phase_offset(times: np.ndarray, rows) -> np.ndarray:
     """
     if len(rows) < 2:
         raise ValueError("phase offset needs at least 2 snapshots")
-    squares = np.array([np.abs(w) ** 2 for w in rows])
+    squares = np.abs(rows) ** 2
     out = _log_trapezoid_rows(times, squares)
     for m, t in enumerate(times):
         out[m] -= squares[m] * np.log(t)

@@ -24,6 +24,7 @@ from .spectral import (
     ComplexField,
     Grid1D,
     _cis,
+    _times_temporary,
     fourier_forward,
     norm_L2,
     require_same_grid,
@@ -103,11 +104,6 @@ def strang_step(state: PairState, dt: float) -> PairState:
     return PairState(ComplexField(g, u, PHYSICAL), ComplexField(g, v, PHYSICAL), state.t + dt)
 
 
-# numpy elides a temporary operand of at least this many bytes, evaluating
-# a * tmp in place as multiply(tmp, a, out=tmp)
-_ELIDE_BYTES = 256 * 1024
-
-
 def _rotate(
     a: np.ndarray, h: float, m_other: np.ndarray, out: np.ndarray, angle: np.ndarray
 ) -> np.ndarray:
@@ -116,12 +112,7 @@ def _rotate(
     -h * m_other.  Bitwise a * np.exp(-1j * h * m_other) but for the sign of
     zero parts of a where m_other = 0 (the sine of -0.0 is -0.0)."""
     np.multiply(m_other, -h, out=angle)
-    _cis(angle, out)
-    # numpy's complex product is not bitwise commutative: keep the operand
-    # order numpy's temporary elision gives a * np.exp(...)
-    if out.nbytes >= _ELIDE_BYTES:
-        return np.multiply(out, a, out=out)
-    return np.multiply(a, out, out=out)
+    return _times_temporary(a, _cis(angle, out), out)
 
 
 def _lane(

@@ -118,6 +118,20 @@ def _cis(angle: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
+# numpy elides a temporary operand of at least this many bytes, evaluating
+# a * tmp in place as multiply(tmp, a, out=tmp)
+_ELIDE_BYTES = 256 * 1024
+
+
+def _times_temporary(a: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """a * tmp into out, bitwise numpy's a * tmp for a fresh temporary tmp:
+    the complex product is not bitwise commutative, so keep the operand order
+    numpy's temporary elision gives it."""
+    if tmp.nbytes >= _ELIDE_BYTES:
+        return np.multiply(tmp, a, out=out)
+    return np.multiply(a, tmp, out=out)
+
+
 def require_same_grid(*fields: ComplexField) -> Grid1D:
     grid = fields[0].grid
     for f in fields[1:]:
@@ -286,29 +300,34 @@ class AnalysisParams:
         return cls(alpha=alpha, delta=delta, beta=beta, nu=nu, n=int(n), epsilon=epsilon)
 
 
+def norm_H10_xi(grid: Grid1D, row: np.ndarray) -> float:
+    """||w_hat||_{H^{1,0}_xi} of the spectral samples row, evaluated through
+    the exchange identity ||w_hat||_{H^{1,0}_xi} = ||w||_{H^{0,1}_x}."""
+    return norm_H0n(fourier_inverse(ComplexField(grid, row, SPECTRAL)), 1)
+
+
 def norm_XT_components(
-    series: Sequence[tuple[float, ComplexField]], params: AnalysisParams
+    times: Sequence[float], rows: Sequence[np.ndarray], grid: Grid1D, params: AnalysisParams
 ) -> tuple[float, float, float]:
     """
     The three suprema making up the bootstrap norm over a sampled spectral
-    time series: sup_t of the max norm, and sup_t of t^-alpha times the
-    H^{1,0} and H^{0,2n+1} norms along the frequency axis.  The frequency
-    derivative is evaluated through the exchange identity
-    ||w_hat||_{H^{1,0}_xi} = ||w||_{H^{0,1}_x}.
+    time series, rows[m] holding the spectral samples at times[m]: sup_t of
+    the max norm, and sup_t of t^-alpha times the H^{1,0} and H^{0,2n+1}
+    norms along the frequency axis.
     """
-    if len(series) == 0:
+    times = np.asarray(times, dtype=float)
+    if times.size == 0:
         raise ValueError("series must be nonempty")
-    times = np.array([t for t, _ in series], dtype=float)
     if times[0] < 1.0 or np.any(np.diff(times) <= 0):
         raise ValueError("times must be increasing and >= 1")
     sup_linf = 0.0
     sup_h10 = 0.0
     sup_h0m = 0.0
     m = 2 * params.n + 1
-    for t, f in series:
-        f.require_side(SPECTRAL)
+    for t, row in zip(times, rows, strict=True):
+        f = ComplexField(grid, row, SPECTRAL)
         fac = t ** (-params.alpha)
         sup_linf = max(sup_linf, norm_Linf(f))
-        sup_h10 = max(sup_h10, fac * norm_H0n(fourier_inverse(f), 1))
+        sup_h10 = max(sup_h10, fac * norm_H10_xi(grid, row))
         sup_h0m = max(sup_h0m, fac * norm_H0n(f, m))
     return sup_linf, sup_h10, sup_h0m

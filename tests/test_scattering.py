@@ -9,6 +9,7 @@ import scatterlab.scattering as scattering
 from scatterlab.remainder import RESONANT_COEFF
 from scatterlab.propagator import _ray_targets
 from scatterlab.scattering import _cauchy_pairs, _closed_form_gap
+from scatterlab.spectral import _cis
 from conftest import coarsen
 
 
@@ -38,8 +39,11 @@ def free_pair_trajectory(t_end=32.0, L=700.0, N=4096):
 
 def physical_profiles(state):
     """Physical profiles (f, g) = e^{-it d_xx} (u, v), from the spectral ones."""
-    f_hat, g_hat = sl.profile_spectra(state)
-    return sl.fourier_inverse(f_hat), sl.fourier_inverse(g_hat)
+    f_hat, g_hat = sl.profile_spectra([state])[0]
+    return (
+        sl.fourier_inverse(sl.ComplexField(state.grid, f_hat, "spectral")),
+        sl.fourier_inverse(sl.ComplexField(state.grid, g_hat, "spectral")),
+    )
 
 
 def corrected_checked(traj):
@@ -47,10 +51,9 @@ def corrected_checked(traj):
     bitwise fhat_m exp(i c Phi_v[m]) (ghat_m exp(i c Phi_u[m])) at its own m."""
     out = w_f, w_g, acc_u, acc_v = sl.corrected_spectra(traj)
     assert len(w_f) == len(w_g) == len(traj.snapshots)
-    for m, state in enumerate(traj.snapshots):
-        f_hat, g_hat = sl.profile_spectra(state)
-        expect_f = f_hat.samples * np.exp(1j * RESONANT_COEFF * acc_v.values[m])
-        expect_g = g_hat.samples * np.exp(1j * RESONANT_COEFF * acc_u.values[m])
+    for m, (f_hat, g_hat) in enumerate(sl.profile_spectra(traj.snapshots)):
+        expect_f = f_hat * np.exp(1j * RESONANT_COEFF * acc_v.values[m])
+        expect_g = g_hat * np.exp(1j * RESONANT_COEFF * acc_u.values[m])
         assert np.array_equal(bits(w_f[m]), bits(expect_f)), f"w_f at m = {m}"
         assert np.array_equal(bits(w_g[m]), bits(expect_g)), f"w_g at m = {m}"
     return out
@@ -82,6 +85,19 @@ class TestProfile:
         for s in traj.snapshots[1:]:
             f, _ = physical_profiles(s)
             assert np.max(np.abs(f.samples - f0.samples)) < 1e-12
+
+    @pytest.mark.parametrize("N", [4096, 2**15])
+    def test_block_rows_bitwise_per_state_formula(self, N):
+        # either side of numpy's elision size: each row keeps the operand
+        # order (transform, phase) of the per-state product
+        traj = free_pair_trajectory(t_end=4.0, L=700.0, N=N)
+        block = sl.profile_spectra(traj.snapshots)
+        assert block.shape == (len(traj.snapshots), 2, N) and block.dtype == np.complex128
+        for row, state in zip(block, traj.snapshots):
+            back = _cis(state.t * state.grid.xi**2)
+            for side, field in enumerate((state.u, state.v)):
+                expect = sl.fourier_forward(field).samples * back
+                assert np.array_equal(bits(row[side]), bits(expect)), (state.t, side)
 
 
 class TestAccumulatePhase:
@@ -130,7 +146,7 @@ class TestAccumulatePhase:
         times = traj.times
         sigma = np.log(times[::2])
         for side, acc in ((0, acc_u), (1, acc_v)):
-            sq = np.array([np.abs(sl.profile_spectra(s)[side].samples) ** 2 for s in traj.snapshots])
+            sq = np.abs(sl.profile_spectra(traj.snapshots)[:, side]) ** 2
             coarse = np.zeros_like(sq[::2])
             for k in range(1, len(sigma)):
                 coarse[k] = coarse[k - 1] + 0.5 * (sigma[k] - sigma[k - 1]) * (sq[2 * k] + sq[2 * k - 2])
@@ -151,14 +167,20 @@ class TestPhaseCorrection:
         traj = sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=0.3), snapshots=snaps, dt=0.1)
         w_f, _, _, acc_v = corrected_checked(traj)
         assert np.all(acc_v.values == 0)
-        for w, state in zip(w_f, traj.snapshots):
-            f_hat, _ = sl.profile_spectra(state)
-            assert np.array_equal(w, f_hat.samples)
+        for w, f_hat in zip(w_f, sl.profile_spectra(traj.snapshots)[:, 0]):
+            assert np.array_equal(w, f_hat)
 
     def test_modulus_preserved(self, richardson_traj):
         w = corrected_checked(richardson_traj)[0][5]
-        f_hat, _ = sl.profile_spectra(richardson_traj.snapshots[5])
-        assert np.max(np.abs(np.abs(w) - np.abs(f_hat.samples))) < 1e-15
+        f_hat = sl.profile_spectra(richardson_traj.snapshots[5:6])[0, 0]
+        assert np.max(np.abs(np.abs(w) - np.abs(f_hat))) < 1e-15
+
+    def test_rows_are_views_of_one_block(self, richardson_traj):
+        # corrected in place: no second copy of the spectra
+        w_f, w_g = sl.corrected_spectra(richardson_traj)[:2]
+        assert w_f.shape == w_g.shape == (len(richardson_traj.snapshots), richardson_traj.grid.N)
+        assert w_f.base is not None and w_f.base is w_g.base
+        assert w_f.base.shape == (len(richardson_traj.snapshots), 2, richardson_traj.grid.N)
 
     def test_formula_bitwise_above_elision_size(self):
         # from 2^14 complex points on, numpy evaluates fhat * np.exp(...) in
@@ -182,8 +204,8 @@ class TestPhaseCorrection:
         )
         traj = sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=0.3), snapshots=snaps, dt=0.1)
         w = corrected_checked(traj)[0][1]
-        f_hat, _ = sl.profile_spectra(snaps[1])
-        assert np.max(np.abs(w + f_hat.samples)) < 1e-14
+        f_hat = sl.profile_spectra(snaps[1:])[0, 0]
+        assert np.max(np.abs(w + f_hat)) < 1e-14
 
     @pytest.mark.parametrize(
         "times",
@@ -221,19 +243,27 @@ class TestReducedOde:
         w_f, _, _, acc_v = sl.corrected_spectra(traj)
         assert sl.reduced_ode_residual(traj, 5, w_f, acc_v) < 1e-11
 
-    def test_profile_spectra_once_per_snapshot(self, monkeypatch):
+    def test_profile_spectra_once_per_pass(self, monkeypatch):
         traj = zero_trajectory()
         w_f, _, _, acc_v = sl.corrected_spectra(traj)
         calls = []
 
-        def counting(state):
-            calls.append(state.t)
-            return sl.profile_spectra(state)
+        def counting(states):
+            calls.append(list(states))
+            return sl.profile_spectra(states)
+
+        def called_with(*expected):
+            assert len(calls) == len(expected)
+            for got, want in zip(calls, expected):
+                assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
+            calls.clear()
 
         monkeypatch.setattr(scattering, "profile_spectra", counting)
-        sl.reduced_ode_residual(traj, 2, w_f, acc_v)
+        sl.analyze_trajectory(traj)
+        called_with(traj.snapshots)
         # the rows come from w_f; only the right-hand side needs snapshot 2's
-        assert calls == [traj.snapshots[2].t]
+        sl.reduced_ode_residual(traj, 2, w_f, acc_v)
+        called_with(traj.snapshots[2:3])
 
     def test_boundary_index_rejected(self, richardson_traj):
         w_f, _, _, acc_v = sl.corrected_spectra(richardson_traj)

@@ -246,7 +246,7 @@ class TestXTComponents:
         grid = sl.Grid1D(L=30.0, N=128)
         f = smooth_spectral_field(grid, 9)
         params = sl.AnalysisParams.make()
-        comps = sl.norm_XT_components([(1.0, f)], params)
+        comps = sl.norm_XT_components([1.0], [f.samples], grid, params)
         expected = (
             sl.norm_Linf(f),
             sl.norm_H0n(sl.fourier_inverse(f), 1),
@@ -258,9 +258,9 @@ class TestXTComponents:
         grid = sl.Grid1D(L=30.0, N=128)
         f = smooth_spectral_field(grid, 12)
         params = sl.AnalysisParams.make()
-        series = [(t, f) for t in (1.0, 2.0, 4.0, 8.0)]
-        comps = sl.norm_XT_components(series, params)
-        single = sl.norm_XT_components([(1.0, f)], params)
+        times = [1.0, 2.0, 4.0, 8.0]
+        comps = sl.norm_XT_components(times, [f.samples] * len(times), grid, params)
+        single = sl.norm_XT_components([1.0], [f.samples], grid, params)
         assert np.allclose(comps, single, rtol=1e-13)
 
     def test_growing_series_hand_oracle(self):
@@ -269,8 +269,8 @@ class TestXTComponents:
         base = smooth_spectral_field(grid, 13)
         params = sl.AnalysisParams.make()
         times = [1.0, 2.0, 4.0, 8.0, 16.0]
-        series = [(t, base.with_samples(base.samples * t ** (params.alpha / 2))) for t in times]
-        comps = sl.norm_XT_components(series, params)
+        rows = [base.samples * t ** (params.alpha / 2) for t in times]
+        comps = sl.norm_XT_components(times, rows, grid, params)
         expected_weighted = max(t ** (-params.alpha) * t ** (params.alpha / 2) for t in times)
         base_h10 = sl.norm_H0n(sl.fourier_inverse(base), 1)
         assert abs(comps[1] - expected_weighted * base_h10) < 1e-12 * base_h10
@@ -279,4 +279,10 @@ class TestXTComponents:
 
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
-            sl.norm_XT_components([], sl.AnalysisParams.make())
+            sl.norm_XT_components([], [], sl.Grid1D(L=30.0, N=128), sl.AnalysisParams.make())
+
+    def test_rows_must_match_times(self):
+        grid = sl.Grid1D(L=30.0, N=128)
+        f = smooth_spectral_field(grid, 9)
+        with pytest.raises(ValueError):
+            sl.norm_XT_components([1.0, 2.0], [f.samples], grid, sl.AnalysisParams.make())
