@@ -24,6 +24,7 @@ from .spectral import (
     SPECTRAL,
     ComplexField,
     _cis,
+    _two_lanes,
     fourier_forward,
     fourier_inverse,
     norm_H10_xi,
@@ -119,15 +120,27 @@ def remainder_oracle(inp: TrilinearInput) -> ComplexField:
     return ComplexField(grid, out, SPECTRAL)
 
 
+def _profile_rows(states, components: str, block: np.ndarray) -> None:
+    """The profile formula, row by row: block[m, j] = e^{i t xi^2} times the
+    transform of component components[j] ('u' or 'v') of states[m]."""
+    for state, row in zip(states, block):
+        back = _cis(state.t * state.grid.xi**2)
+        for component, out in zip(components, row):
+            np.multiply(fourier_forward(getattr(state, component)).samples, back, out=out)
+
+
+def _profile_block(states, components: str) -> np.ndarray:
+    """The (len(states), len(components), N) block of profile rows, filled
+    by snapshot parity: even snapshots on this thread, odd ones on a worker."""
+    block = np.empty((len(states), len(components), states[0].grid.N), dtype=np.complex128)
+    _two_lanes(_profile_rows, (states[::2], components, block[::2]), (states[1::2], components, block[1::2]))
+    return block
+
+
 def profile_spectra(states) -> np.ndarray:
     """Spectral profiles of a sequence of states as one (len(states), 2, N)
     block: row m is (fhat, ghat) = e^{i t xi^2} (uhat, vhat) of states[m]."""
-    block = np.empty((len(states), 2, states[0].grid.N), dtype=np.complex128)
-    for m, state in enumerate(states):
-        back = _cis(state.t * state.grid.xi**2)
-        np.multiply(fourier_forward(state.u).samples, back, out=block[m, 0])
-        np.multiply(fourier_forward(state.v).samples, back, out=block[m, 1])
-    return block
+    return _profile_block(states, "uv")
 
 
 @dataclass(frozen=True)
@@ -169,7 +182,7 @@ def h10_growth_fit(traj, component: str = "u") -> RateFit:
     evaluated as ||f||_{H^{0,1}_x} of the physical profile."""
     if component not in ("u", "v"):
         raise ValueError("component must be 'u' or 'v'")
-    rows = profile_spectra(traj.snapshots)[:, "uv".index(component)]
+    rows = _profile_block(traj.snapshots, component)[:, 0]
     values = np.empty(len(rows))
     for m, row in enumerate(rows):
         values[m] = norm_H10_xi(traj.grid, row)

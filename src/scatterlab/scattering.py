@@ -7,6 +7,7 @@ by the weighted estimates.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,7 +25,9 @@ from .spectral import (
     SPECTRAL,
     ComplexField,
     Grid1D,
+    _cis,
     _times_temporary,
+    _two_lanes,
     fourier_inverse,
     norm_H0n,
     norm_L1,
@@ -52,18 +55,51 @@ class PhaseAccumulator:
     quadrature_error: float
 
 
-def _log_trapezoid_rows(times: np.ndarray, squares: np.ndarray) -> np.ndarray:
+def _log_trapezoid(times: np.ndarray, rows):
     """
-    Cumulative trapezoid of |h(s)|^2 / s ds over snapshot times, done in
-    sigma = ln s where the integrand is smooth and the geometric schedule is
-    uniform.  Rows are the running integral at each snapshot.
+    Running integral of |rows(s)|^2 ds/s from times[0] by the trapezoid in
+    sigma = ln s, where the integrand is smooth and the geometric schedule is
+    uniform, streamed: yields (integral to times[m], |rows[m]|^2) for each m
+    in turn, each a fresh array, holding two rows of squares at a time.
     """
-    out = np.zeros_like(squares)
     sigma = np.log(times)
+    prev = np.abs(rows[0]) ** 2
+    total = np.zeros_like(prev)
+    yield total, prev
     for m in range(1, len(times)):
-        step = sigma[m] - sigma[m - 1]
-        out[m] = out[m - 1] + 0.5 * step * (squares[m] + squares[m - 1])
-    return out
+        sq = np.abs(rows[m]) ** 2
+        total = total + 0.5 * (sigma[m] - sigma[m - 1]) * (sq + prev)
+        yield total, sq
+        prev = sq
+
+
+def _accumulate(times: np.ndarray, rows, values: np.ndarray) -> float:
+    """
+    Write the running integral of |rows|^2 ds/s at times[m] into values[m]
+    and return its quadrature error: the largest gap to the same rule over
+    every other snapshot, divided by 3 as for an order-2 rule (0 below 5
+    snapshots).
+    """
+    for out, (total, _) in zip(values, _log_trapezoid(times, rows)):
+        out[...] = total
+    if len(times) < 5:
+        return 0.0
+    coarse = _log_trapezoid(times[::2], rows[::2])
+    return max(float(np.max(np.abs(fine - total))) for fine, (total, _) in zip(values[::2], coarse)) / 3.0
+
+
+def _phase_correction(integral: np.ndarray) -> np.ndarray:
+    """exp(i c integral), c = RESONANT_COEFF, from cos and sin of the real
+    angle: bitwise np.exp(1j * c * integral), as a phase integral is never
+    -0.0."""
+    return _cis(RESONANT_COEFF * integral)
+
+
+def _correct(rows, integrals: np.ndarray) -> None:
+    """rows[m] times the phase correction of integrals[m], in place and
+    bitwise numpy's rows[m] * np.exp(1j * c * integrals[m])."""
+    for row, integral in zip(rows, integrals):
+        _times_temporary(row, _phase_correction(integral), row)
 
 
 def corrected_spectra(traj: Trajectory):
@@ -75,28 +111,18 @@ def corrected_spectra(traj: Trajectory):
     integrates |uhat|^2/s (driving the correction applied to ghat), acc_v
     |vhat|^2/s (driving the one applied to fhat), and each reports its own
     quadrature error.  The free group is unimodular, so |fhat| = |uhat| and
-    |ghat| = |vhat| pointwise.
+    |ghat| = |vhat| pointwise.  Each side's accumulator, and after that each
+    side's correction, is computed on a lane of its own.
     """
     if len(traj.snapshots) < 2:
         raise ValueError("phase accumulation needs at least 2 snapshots")
     times = traj.times
     block = profile_spectra(traj.snapshots)
-    accs = []
-    for side in (0, 1):
-        sq = np.abs(block[:, side]) ** 2
-        vals = _log_trapezoid_rows(times, sq)
-        err = 0.0
-        if len(times) >= 5:
-            coarse = _log_trapezoid_rows(times[::2], sq[::2])
-            err = float(np.max(np.abs(vals[::2] - coarse))) / 3.0
-            del coarse
-        del sq  # before the other side's squares
-        accs.append(PhaseAccumulator(vals, err))
-    acc_u, acc_v = accs
-    for m in range(len(times)):
-        for row, acc in ((block[m, 0], acc_v), (block[m, 1], acc_u)):
-            _times_temporary(row, np.exp(1j * RESONANT_COEFF * acc.values[m]), row)
-    return block[:, 0], block[:, 1], acc_u, acc_v
+    w_f, w_g = block[:, 0], block[:, 1]
+    values_u, values_v = np.empty(w_f.shape), np.empty(w_g.shape)
+    err_u, err_v = _two_lanes(_accumulate, (times, w_f, values_u), (times, w_g, values_v))
+    _two_lanes(_correct, (w_f, values_v), (w_g, values_u))
+    return w_f, w_g, PhaseAccumulator(values_u, err_u), PhaseAccumulator(values_v, err_v)
 
 
 def reduced_ode_residual(traj: Trajectory, m: int, w_f, acc_v: PhaseAccumulator) -> float:
@@ -116,7 +142,8 @@ def reduced_ode_residual(traj: Trajectory, m: int, w_f, acc_v: PhaseAccumulator)
     ) / (h_minus * h_plus * (h_minus + h_plus))
     pair = profile_spectra(traj.snapshots[m : m + 1])[0]
     inp = TrilinearInput(*(ComplexField(traj.grid, row, SPECTRAL) for row in pair), t_mid)
-    rhs = np.exp(1j * RESONANT_COEFF * acc_v.values[m]) * remainder_physical(inp).samples
+    # the factor is the left temporary: numpy keeps (factor, R) at every size
+    rhs = _phase_correction(acc_v.values[m]) * remainder_physical(inp).samples
     diff = ComplexField(traj.grid, deriv - rhs, SPECTRAL)
     return norm_L2(diff)
 
@@ -177,9 +204,11 @@ def estimate_limit(times: np.ndarray, rows, grid: Grid1D, n: int) -> ScatteringE
         fit_h0n = fit_rate(times[fit], diff_h0n[fit])
     except ValueError:
         fit_h0n = None
+    # Gamma is phase_offset(times, rows)[-1], streamed without the other rows
+    phi, square = deque(_log_trapezoid(times, rows), maxlen=1).pop()
     return ScatteringEstimate(
         W=w_last,
-        gamma_limit=phase_offset(times, rows)[-1].copy(),  # not a view holding every row
+        gamma_limit=phi - square * np.log(t_max),
         diff_linf=diff_linf,
         diff_h0n=diff_h0n,
         fit_linf=fit_linf,
@@ -198,11 +227,7 @@ def phase_offset(times: np.ndarray, rows) -> np.ndarray:
     """
     if len(rows) < 2:
         raise ValueError("phase offset needs at least 2 snapshots")
-    squares = np.abs(rows) ** 2
-    out = _log_trapezoid_rows(times, squares)
-    for m, t in enumerate(times):
-        out[m] -= squares[m] * np.log(t)
-    return out
+    return np.array([total - sq * np.log(t) for t, (total, sq) in zip(times, _log_trapezoid(times, rows))])
 
 
 def _closed_form_gap(
@@ -217,7 +242,7 @@ def _closed_form_gap(
     phase = actual.grid.x**2 / (4.0 * t) - RESONANT_COEFF * (
         np.abs(w_other) ** 2 * np.log(t) + gamma_other.real
     )
-    closed = (2j * t) ** (-0.5) * w_own * np.exp(1j * phase)
+    closed = (2j * t) ** (-0.5) * w_own * _cis(phase)
     return float(np.max(np.abs(actual.samples - closed)))
 
 
@@ -278,8 +303,9 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
     w_f, w_g = corrected_spectra(traj)[:2]  # drops the phase accumulators
     times = traj.times
     try:
-        est_u = estimate_limit(times, w_f, traj.grid, traj.params.n)
-        est_v = estimate_limit(times, w_g, traj.grid, traj.params.n)
+        est_u, est_v = _two_lanes(
+            estimate_limit, (times, w_f, traj.grid, traj.params.n), (times, w_g, traj.grid, traj.params.n)
+        )
     except ValueError:
         est_u = est_v = None
     del w_f, w_g  # only the estimates are read; the ray pass reuses this
@@ -303,8 +329,9 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
                 continue
             w_u, w_v, ray_gamma_u, ray_gamma_v = spectrum_at(limits, targets)
             state = traj.snapshots[i]
-            asym_u[i] = _closed_form_gap(state.u, t, w_u, w_v, ray_gamma_v)
-            asym_v[i] = _closed_form_gap(state.v, t, w_v, w_u, ray_gamma_u)
+            asym_u[i], asym_v[i] = _two_lanes(
+                _closed_form_gap, (state.u, t, w_u, w_v, ray_gamma_v), (state.v, t, w_v, w_u, ray_gamma_u)
+            )
             del w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
     return TrajectoryAnalysis(
         times=times,

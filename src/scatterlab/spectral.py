@@ -15,6 +15,7 @@ pure, so concurrent use needs no synchronization.
 from __future__ import annotations
 
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -130,6 +131,16 @@ def _times_temporary(a: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndar
     if tmp.nbytes >= _ELIDE_BYTES:
         return np.multiply(tmp, a, out=out)
     return np.multiply(a, tmp, out=out)
+
+
+def _two_lanes(work, here: tuple, there: tuple) -> tuple:
+    """(work(*here), work(*there)), the first on the calling thread and the
+    second on a worker thread that lives only for the call.  Either lane's
+    exception is raised here, the calling lane's first, and only after the
+    worker has finished."""
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="scatterlab-analysis") as pool:
+        other = pool.submit(work, *there)
+        return work(*here), other.result()
 
 
 def require_same_grid(*fields: ComplexField) -> Grid1D:

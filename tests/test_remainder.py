@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import scatterlab as sl
+import scatterlab.remainder as remainder
 from scatterlab.cli import smooth_random_input
 from scatterlab.remainder import RESONANT_COEFF, TrilinearInput
 
@@ -116,6 +117,28 @@ class TestDecayFits:
         for component in ("u", "v"):
             fit = sl.h10_growth_fit(richardson_traj, component)
             assert fit.exponent <= 0.1
+
+    @pytest.mark.parametrize("component", ["u", "v"])
+    def test_h10_growth_transforms_only_its_component(self, component, monkeypatch):
+        # one transform per snapshot, and the fit of the full block's side
+        grid = sl.Grid1D(L=240.0, N=512)
+        u1, v1 = sl.initial_pair(grid, "gaussian", 0.2, 3.0)
+        params = sl.AnalysisParams.make(epsilon=0.2)
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), 16.0, 0.05, sl.geometric_schedule(16.0), params)
+        assert len(traj.snapshots) == 17
+        side = sl.profile_spectra(traj.snapshots)[:, "uv".index(component)]
+        expect = sl.fit_rate(traj.times, [remainder.norm_H10_xi(grid, row) for row in side])
+        fields = []
+
+        def counting(field):
+            fields.append(field)
+            return forward(field)
+
+        forward = remainder.fourier_forward
+        monkeypatch.setattr(remainder, "fourier_forward", counting)
+        assert sl.h10_growth_fit(traj, component) == expect
+        assert len(fields) == 17
+        assert {id(f) for f in fields} == {id(getattr(s, component)) for s in traj.snapshots}
 
 
 class TestOddPowerSplit:

@@ -1,3 +1,6 @@
+import sys
+import threading
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -5,8 +8,9 @@ import pytest
 
 import scatterlab as sl
 import scatterlab.propagator as propagator
+import scatterlab.remainder as remainder
 import scatterlab.scattering as scattering
-from scatterlab.remainder import RESONANT_COEFF
+from scatterlab.remainder import RESONANT_COEFF, TrilinearInput
 from scatterlab.propagator import _ray_targets
 from scatterlab.scattering import _cauchy_pairs, _closed_form_gap
 from scatterlab.spectral import _cis
@@ -265,6 +269,25 @@ class TestReducedOde:
         sl.reduced_ode_residual(traj, 2, w_f, acc_v)
         called_with(traj.snapshots[2:3])
 
+    @pytest.mark.parametrize("N", [4096, 2**14])
+    def test_correction_bitwise_exp_formula(self, N):
+        # either side of numpy's elision size: the right-hand side keeps the
+        # operand order (factor, R) of np.exp(...) * R
+        traj = free_pair_trajectory(t_end=8.0, L=700.0, N=N)
+        w_f, _, _, acc_v = sl.corrected_spectra(traj)
+        m = 4
+        t_lo, t_mid, t_hi = traj.times[m - 1 : m + 2]
+        h_minus, h_plus = t_mid - t_lo, t_hi - t_mid
+        deriv = (h_minus**2 * (w_f[m + 1] - w_f[m]) + h_plus**2 * (w_f[m] - w_f[m - 1])) / (
+            h_minus * h_plus * (h_minus + h_plus)
+        )
+        pair = sl.profile_spectra(traj.snapshots[m : m + 1])[0]
+        inp = TrilinearInput(*(sl.ComplexField(traj.grid, row, "spectral") for row in pair), t_mid)
+        rhs = np.exp(1j * RESONANT_COEFF * acc_v.values[m]) * sl.remainder_physical(inp).samples
+        expect = sl.norm_L2(sl.ComplexField(traj.grid, deriv - rhs, "spectral"))
+        assert expect > 0
+        assert sl.reduced_ode_residual(traj, m, w_f, acc_v) == expect
+
     def test_boundary_index_rejected(self, richardson_traj):
         w_f, _, _, acc_v = sl.corrected_spectra(richardson_traj)
         with pytest.raises(ValueError):
@@ -408,6 +431,156 @@ class TestAnalysis:
         for est in (analysis.est_u, analysis.est_v):
             assert est.gamma_limit.base is None
             assert est.W.samples.base is None
+
+
+def log_trapezoid_rows(times, squares):
+    """The running log-time trapezoid as one (M, N) block."""
+    out = np.zeros_like(squares)
+    sigma = np.log(times)
+    for m in range(1, len(times)):
+        out[m] = out[m - 1] + 0.5 * (sigma[m] - sigma[m - 1]) * (squares[m] + squares[m - 1])
+    return out
+
+
+def sequential_analysis(traj):
+    """The analysis on one thread from whole blocks: the profile block, each
+    side's (M, N) squares and trapezoid, np.exp corrections, the offset
+    block's last row as Gamma and np.exp in the closed form.  Returns the
+    corrected sides, ((values, quadrature error) of u, of v), the (W, Gamma)
+    of u and of v, and the two closed-form gap series."""
+    times = traj.times
+    backs = [_cis(s.t * traj.grid.xi**2) for s in traj.snapshots]
+    block = np.array(
+        [[sl.fourier_forward(f).samples * back for f in (s.u, s.v)] for s, back in zip(traj.snapshots, backs)]
+    )
+    accs = []
+    for side in (0, 1):
+        sq = np.abs(block[:, side]) ** 2
+        values = log_trapezoid_rows(times, sq)
+        err = float(np.max(np.abs(values[::2] - log_trapezoid_rows(times[::2], sq[::2])))) / 3.0
+        accs.append((values, err))
+    (phi_u, _), (phi_v, _) = accs
+    w_f = np.array([row * np.exp(1j * RESONANT_COEFF * phi) for row, phi in zip(block[:, 0], phi_v)])
+    w_g = np.array([row * np.exp(1j * RESONANT_COEFF * phi) for row, phi in zip(block[:, 1], phi_u)])
+    limits = []
+    for rows in (w_f, w_g):
+        sq = np.abs(rows) ** 2
+        offsets = log_trapezoid_rows(times, sq)
+        for m, t in enumerate(times):
+            offsets[m] -= sq[m] * np.log(t)
+        limits.append((rows[-1], offsets[-1]))
+    (W_u, gamma_u), (W_v, gamma_v) = limits
+    fields = [sl.ComplexField(traj.grid, a, "spectral") for a in (W_u, W_v, gamma_u, gamma_v)]
+    gaps = np.full((2, len(times)), np.nan)
+    for i, (t, state) in enumerate(zip(times, traj.snapshots)):
+        try:
+            targets = _ray_targets(traj.grid, t)
+        except sl.FrequencyRangeError:
+            continue
+        w_u, w_v, ray_gamma_u, ray_gamma_v = sl.spectrum_at(fields, targets)
+        for k, (actual, own, other, gamma) in enumerate(
+            ((state.u, w_u, w_v, ray_gamma_v), (state.v, w_v, w_u, ray_gamma_u))
+        ):
+            phase = traj.grid.x**2 / (4.0 * t) - RESONANT_COEFF * (np.abs(other) ** 2 * np.log(t) + gamma.real)
+            closed = (2j * t) ** (-0.5) * own * np.exp(1j * phase)
+            gaps[k, i] = np.max(np.abs(actual.samples - closed))
+    return (w_f, w_g), accs, limits, gaps
+
+
+def coupled_trajectory(N):
+    grid = sl.Grid1D(L=480.0, N=N)
+    u1, v1 = sl.initial_pair(grid, "gaussian", 0.15, 3.0)
+    params = sl.AnalysisParams.make(epsilon=0.15)
+    return sl.evolve(sl.PairState(u1, v1, 1.0), 16.0, 0.05, sl.geometric_schedule(16.0), params)
+
+
+class LaneFault(RuntimeError):
+    pass
+
+
+class TestLanes:
+    @pytest.mark.parametrize("N", [4096, 2**14])
+    def test_match_sequential_reference_bitwise(self, N):
+        # either side of numpy's elision size
+        traj = coupled_trajectory(N)
+        (ref_f, ref_g), ref_accs, ref_limits, ref_gaps = sequential_analysis(traj)
+        w_f, w_g, acc_u, acc_v = sl.corrected_spectra(traj)
+        assert np.array_equal(bits(w_f), bits(ref_f)) and np.array_equal(bits(w_g), bits(ref_g))
+        for acc, (values, err) in zip((acc_u, acc_v), ref_accs):
+            assert np.array_equal(bits(acc.values), bits(values))
+            assert acc.quadrature_error == err > 0
+        analysis = sl.analyze_trajectory(traj)
+        for est, (W, gamma), rows in zip((analysis.est_u, analysis.est_v), ref_limits, (ref_f, ref_g)):
+            assert np.array_equal(bits(est.W.samples), bits(W))
+            assert np.array_equal(bits(est.gamma_limit), bits(gamma))
+            assert np.array_equal(est.diff_linf, np.max(np.abs(rows - W), axis=1))
+        assert np.count_nonzero(np.isfinite(ref_gaps[0])) >= 2
+        assert np.array_equal(analysis.asym_u, ref_gaps[0], equal_nan=True)
+        assert np.array_equal(analysis.asym_v, ref_gaps[1], equal_nan=True)
+
+    def test_bitwise_under_frequent_thread_switching(self):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            self.test_match_sequential_reference_bitwise(4096)
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("wrong", ["u", "v"])
+    def test_lane_error_reaches_caller(self, wrong, monkeypatch):
+        # u's lane is the calling thread, v's the worker (the profile fill's
+        # even and odd snapshots); each stage's call on the wrong lane raises,
+        # and the analysis runs on a watched thread so that a hang fails
+        traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
+        stages = [
+            (remainder, "_profile_rows"),
+            (scattering, "_accumulate"),
+            (scattering, "_correct"),
+            (scattering, "estimate_limit"),
+            (scattering, "_closed_form_gap"),
+        ]
+        for module, name in stages:
+            work = getattr(module, name)
+
+            def failing(*args, work=work, name=name):
+                on_worker = threading.current_thread().name.startswith("scatterlab-analysis")
+                if on_worker == (wrong == "v"):
+                    raise LaneFault(name)
+                return work(*args)
+
+            monkeypatch.setattr(module, name, failing)
+            raised = []
+
+            def call():
+                try:
+                    sl.analyze_trajectory(traj)
+                except Exception as exc:
+                    raised.append(exc)
+
+            caller = threading.Thread(target=call, daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+            assert not caller.is_alive(), name
+            assert len(raised) == 1 and type(raised[0]) is LaneFault and str(raised[0]) == name
+            assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-analysis")]
+            monkeypatch.undo()
+
+    def test_analysis_peak_memory(self):
+        # the traced peak (tracemalloc sees numpy's buffers) stays within the
+        # profile block, both phase accumulators and ROWS rows of N complex
+        # samples: an (M, N) block of squares or offsets exceeds it
+        ROWS = 10
+        traj = free_pair_trajectory(t_end=256.0, L=700.0, N=4096)
+        m, n = len(traj.snapshots), traj.grid.N
+        assert m == 33
+        tracemalloc.start()
+        try:
+            sl.analyze_trajectory(traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block, accumulators, row = m * 2 * n * 16, 2 * m * n * 8, n * 16
+        assert peak < block + accumulators + ROWS * row, (peak - block - accumulators) / row
 
 
 class TestAsymptoticResidual:
