@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.fft import fft, ifft, next_fast_len
+from scipy.fft import next_fast_len
 
 from .spectral import (
     PHYSICAL,
@@ -18,8 +18,10 @@ from .spectral import (
     ComplexField,
     Grid1D,
     _cis,
+    fft,
     fourier_forward,
     fourier_inverse,
+    ifft,
     require_same_grid,
     to_physical,
 )

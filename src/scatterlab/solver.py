@@ -10,13 +10,14 @@ pure roundoff.
 
 from __future__ import annotations
 
+import queue
 import threading
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import fft, fftfreq, ifft
+from scipy.fft import fftfreq
 
 from .spectral import (
     PHYSICAL,
@@ -25,7 +26,9 @@ from .spectral import (
     Grid1D,
     _cis,
     _times_temporary,
+    fft,
     fourier_forward,
+    ifft,
     norm_L2,
     require_same_grid,
 )
@@ -123,17 +126,21 @@ def _lane(
     lane: int,
     mults: list[np.ndarray],
     steps: Sequence[float],
-    barrier: threading.Barrier,
-) -> np.ndarray:
+    inbox: queue.SimpleQueue,
+    outbox: queue.SimpleQueue,
+) -> np.ndarray | None:
     """
     One field's whole run in its own workspace: two field buffers
     (fields[0], fields[1]) used in turn, one angle buffer, and its two
     modulus slots moduli[lane].  The field starts as a copy of a in
     fields[0]; step k rotates it by the other field's modulus from step k-1
     (none before the first step) into fields[k % 2], transforms there in
-    place, and publishes the field's own modulus in slot k % 2 before the
-    step's barrier.  The other lane reads that slot in step k+1, and this
-    lane next writes it in step k+2, after the barrier of step k+1.
+    place, publishes the field's own modulus in slot k % 2, puts step k's
+    token into the other lane's inbox (outbox) and takes the other lane's
+    step-k token from its own.  The other lane reads that slot in step k+1,
+    before it puts its step-(k+1) token, and this lane next writes the slot
+    in step k+2, after taking that token.  A False token stops the lane,
+    which then returns None.
     """
     f = fields[0]
     np.copyto(f, a)
@@ -146,7 +153,9 @@ def _lane(
         f = ifft(f, overwrite_x=True)
         if k < len(steps):
             np.square(np.abs(f, out=own[k % 2]), out=own[k % 2])
-            barrier.wait()
+            outbox.put(True)
+            if not inbox.get():
+                return None
     return f
 
 
@@ -156,16 +165,20 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
     linear half-steps fused (the same operator as repeated strang_step).
 
     The fields meet only through the moduli, so u and v each step on their
-    own lane thread (`_lane`), and the lanes exchange moduli through one
-    barrier per step.  Each field sees a sequential loop's operations in
-    order, so the output is bit-identical to it.  This thread allocates
-    every buffer before the lanes start, so the fields returned (rows of the
-    field block) live in its heap, and runs no transform itself: each scipy
-    FFT allocates a scratch buffer, which glibc's main arena gives back to
-    the OS after every call at N = 2^15 (hundreds of page faults per step),
-    while a lane's own arena keeps it.  A lane's exception aborts the
-    barrier, so the other lane stops at its next exchange, and is raised
-    here.
+    own lane thread (`_lane`), and the lanes exchange one token per step
+    through two `queue.SimpleQueue` inboxes, which are written in C (a
+    `threading.Barrier` is a Condition written in Python).  Like the direct
+    FFT binding of `spectral`, this keeps Python off the lanes' path: the
+    Python a lane runs holds the GIL, so each microsecond of it per step
+    can stall the other lane.  Each field sees a sequential loop's
+    operations in order, so the output is bit-identical to it.  This thread
+    allocates every buffer before the lanes start, so the fields returned
+    (rows of the field block) live in its heap, and runs no transform
+    itself: each FFT allocates a scratch buffer, which glibc's main arena
+    gives back to the OS after every call at N = 2^15 (hundreds of page
+    faults per step), while a lane's own arena keeps it.  A lane that
+    raises puts False into both inboxes, so the other lane stops at its
+    next exchange, and its exception is raised here.
     """
 
     @cache
@@ -184,17 +197,22 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
     fields = np.empty((2, 2, n), np.complex128)  # [lane, buffer]
     angles = np.empty((2, n))
     moduli = np.empty((2, 2, n))  # [lane, slot]
-    barrier = threading.Barrier(2)
+    inboxes = (queue.SimpleQueue(), queue.SimpleQueue())
     out: list[np.ndarray | None] = [None, None]
     errors: list[BaseException] = []
 
+    def stop() -> None:
+        for inbox in inboxes:
+            inbox.put(False)
+
     def run(lane: int) -> None:
         try:
-            out[lane] = _lane((u, v)[lane], fields[lane], angles[lane], moduli, lane, mults, steps, barrier)
-        except threading.BrokenBarrierError:
-            pass  # the other lane failed; its own error is the one raised
+            out[lane] = _lane(
+                (u, v)[lane], fields[lane], angles[lane], moduli, lane, mults, steps,
+                inboxes[lane], inboxes[1 - lane],
+            )
         except BaseException as exc:  # raised again on the calling thread
-            barrier.abort()
+            stop()
             errors.append(exc)
 
     lanes = [
@@ -208,8 +226,8 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
             t.join()
     finally:
         # after an interrupt here, or a lane that never started, the other
-        # lane would wait at the barrier for ever
-        barrier.abort()
+        # lane would wait for a token for ever
+        stop()
         for t in lanes:
             if t.is_alive():
                 t.join()

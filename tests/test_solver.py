@@ -262,11 +262,14 @@ class TestThreadedKernel:
             assert np.array_equal(s.u.samples, u)
             assert np.array_equal(s.v.samples, v)
 
-    def test_bitwise_under_frequent_thread_switching(self):
+    # 4096 is the quick config's grid, where the exchange between the lanes
+    # weighs most in the step time
+    @pytest.mark.parametrize("N, L", [(256, 80.0), (4096, 400.0)])
+    def test_bitwise_under_frequent_thread_switching(self, N, L):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            self.test_matches_sequential_loop_bitwise(256, 80.0)
+            self.test_matches_sequential_loop_bitwise(N, L)
         finally:
             sys.setswitchinterval(interval)
 
@@ -292,6 +295,41 @@ class TestThreadedKernel:
         assert not caller.is_alive()
         assert len(raised) == 1 and type(raised[0]) is ValueError
         assert "(128,)" in str(raised[0])
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
+
+    @pytest.mark.parametrize("wrong", ["u", "v"])
+    def test_lane_error_mid_run_reaches_caller(self, wrong, monkeypatch):
+        # the lane's forward transform of step 2 raises, after two token
+        # exchanges, while the other lane steps on to its next exchange; the
+        # call runs on a watched thread so that a hang fails the test
+        transform = solver.fft
+        calls = []
+
+        def failing_fft(x, *args, **kwargs):
+            if threading.current_thread().name == f"scatterlab-lane-{wrong}":
+                calls.append(None)
+                if len(calls) == 3:
+                    raise RuntimeError(f"lane {wrong} failed")
+            return transform(x, *args, **kwargs)
+
+        monkeypatch.setattr(solver, "fft", failing_fft)
+        grid = sl.Grid1D(L=80.0, N=256)
+        u1, v1 = small_pair(grid)
+        raised = []
+
+        def call():
+            try:
+                solver._step_fields(u1.samples, v1.samples, grid, [0.05] * 6)
+            except Exception as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(calls) == 3
+        assert len(raised) == 1 and type(raised[0]) is RuntimeError
+        assert str(raised[0]) == f"lane {wrong} failed"
         assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
 
     def test_calling_thread_runs_no_transform(self, monkeypatch):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 import scatterlab as sl
+from scatterlab import propagator, solver, spectral
 from scatterlab.spectral import EdgeMassWarning, SideMismatchError, _cis
 
 
@@ -22,6 +24,34 @@ class TestGrid:
     def test_bad_length_rejected(self, L):
         with pytest.raises(ValueError, match="positive and finite"):
             sl.Grid1D(L=L, N=32)
+
+
+class TestTransformBinding:
+    # 786432 is the N = 2^18 replay's Bluestein convolution length, and
+    # 15015 = 3*5*7*11*13 takes pocketfft's odd-factor passes
+    @pytest.mark.parametrize("n", [8, 4096, 2**15, 786432, 15015])
+    @pytest.mark.parametrize("name", ["fft", "ifft"])
+    def test_bitwise_scipy(self, name, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n) + 1j * rng.normal(size=n)
+        a.flags.writeable = False  # as a ComplexField's samples are
+        kept = a.copy()
+        binding, reference = getattr(spectral, name), getattr(scipy.fft, name)
+
+        out = binding(a)
+        assert not np.shares_memory(out, a)
+        assert out.tobytes() == reference(a).tobytes()
+        assert a.tobytes() == kept.tobytes()
+
+        buf = a.copy()
+        out = binding(buf, overwrite_x=True)
+        assert out is buf
+        assert out.tobytes() == reference(a.copy(), overwrite_x=True).tobytes()
+
+    def test_only_entry_point(self):
+        for module in (solver, propagator):
+            assert module.fft is spectral.fft
+            assert module.ifft is spectral.ifft
 
 
 class TestCis:
