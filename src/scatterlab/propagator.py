@@ -161,7 +161,7 @@ def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.
     if not np.allclose(np.diff(xi), dxi, rtol=1e-12, atol=1e-15 * max(1.0, abs(xi[0]))):
         raise ValueError("spectrum_at requires uniformly spaced targets")
     scale = g.dx / _SQRT_2PI
-    with ThreadPoolExecutor(max_workers=1) as pool:
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="scatterlab-lane") as pool:
         plan = _bluestein_plan(pool, g.N, float(g.x[0]), g.dx, float(xi[0]), dxi, xi.size)
         # one buffer per busy lane: a single field leaves the worker idle
         bufs = [np.empty_like(plan.kernel_hat) for _ in samples[:2]]

@@ -11,7 +11,6 @@ pure roundoff.
 from __future__ import annotations
 
 import queue
-import threading
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -26,6 +25,7 @@ from .spectral import (
     Grid1D,
     _cis,
     _times_temporary,
+    _two_lanes,
     fft,
     fourier_forward,
     ifft,
@@ -140,23 +140,28 @@ def _lane(
     step-k token from its own.  The other lane reads that slot in step k+1,
     before it puts its step-(k+1) token, and this lane next writes the slot
     in step k+2, after taking that token.  A False token stops the lane,
-    which then returns None.
+    which then returns None; a lane that raises puts False into the other
+    lane's inbox first, so the other lane stops at its next exchange.
     """
-    f = fields[0]
-    np.copyto(f, a)
-    own, other = moduli[lane], moduli[1 - lane]
-    for k, mult in enumerate(mults):
-        if k:
-            f = _rotate(f, steps[k - 1], other[(k - 1) % 2], fields[k % 2], angle)
-        f = fft(f, overwrite_x=True)
-        f *= mult
-        f = ifft(f, overwrite_x=True)
-        if k < len(steps):
-            np.square(np.abs(f, out=own[k % 2]), out=own[k % 2])
-            outbox.put(True)
-            if not inbox.get():
-                return None
-    return f
+    try:
+        f = fields[0]
+        np.copyto(f, a)
+        own, other = moduli[lane], moduli[1 - lane]
+        for k, mult in enumerate(mults):
+            if k:
+                f = _rotate(f, steps[k - 1], other[(k - 1) % 2], fields[k % 2], angle)
+            f = fft(f, overwrite_x=True)
+            f *= mult
+            f = ifft(f, overwrite_x=True)
+            if k < len(steps):
+                np.square(np.abs(f, out=own[k % 2]), out=own[k % 2])
+                outbox.put(True)
+                if not inbox.get():
+                    return None
+        return f
+    except BaseException:
+        outbox.put(False)
+        raise
 
 
 def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[float]):
@@ -165,20 +170,19 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
     linear half-steps fused (the same operator as repeated strang_step).
 
     The fields meet only through the moduli, so u and v each step on their
-    own lane thread (`_lane`), and the lanes exchange one token per step
-    through two `queue.SimpleQueue` inboxes, which are written in C (a
+    own lane (`_lane`) through `spectral._two_lanes`: u on the calling
+    thread, v on its worker.  The lanes exchange one token per step through
+    two `queue.SimpleQueue` inboxes, which are written in C (a
     `threading.Barrier` is a Condition written in Python).  Like the direct
     FFT binding of `spectral`, this keeps Python off the lanes' path: the
     Python a lane runs holds the GIL, so each microsecond of it per step
     can stall the other lane.  Each field sees a sequential loop's
     operations in order, so the output is bit-identical to it.  This thread
     allocates every buffer before the lanes start, so the fields returned
-    (rows of the field block) live in its heap, and runs no transform
-    itself: each FFT allocates a scratch buffer, which glibc's main arena
-    gives back to the OS after every call at N = 2^15 (hundreds of page
-    faults per step), while a lane's own arena keeps it.  A lane that
-    raises puts False into both inboxes, so the other lane stops at its
-    next exchange, and its exception is raised here.
+    (rows of the field block) live in its heap, and every transform runs in
+    place in them.  When the calling lane returns or raises, False goes into
+    both inboxes, so a worker still waiting for a token stops; either lane's
+    exception is raised here.
     """
 
     @cache
@@ -198,42 +202,17 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
     angles = np.empty((2, n))
     moduli = np.empty((2, 2, n))  # [lane, slot]
     inboxes = (queue.SimpleQueue(), queue.SimpleQueue())
-    out: list[np.ndarray | None] = [None, None]
-    errors: list[BaseException] = []
 
     def stop() -> None:
         for inbox in inboxes:
             inbox.put(False)
 
-    def run(lane: int) -> None:
-        try:
-            out[lane] = _lane(
-                (u, v)[lane], fields[lane], angles[lane], moduli, lane, mults, steps,
-                inboxes[lane], inboxes[1 - lane],
-            )
-        except BaseException as exc:  # raised again on the calling thread
-            stop()
-            errors.append(exc)
-
-    lanes = [
-        threading.Thread(target=run, args=(lane,), name=f"scatterlab-lane-{name}")
-        for lane, name in enumerate("uv")
-    ]
-    try:
-        for t in lanes:
-            t.start()
-        for t in lanes:
-            t.join()
-    finally:
-        # after an interrupt here, or a lane that never started, the other
-        # lane would wait for a token for ever
-        stop()
-        for t in lanes:
-            if t.is_alive():
-                t.join()
-    if errors:
-        raise errors[0]
-    return out[0], out[1]
+    return _two_lanes(
+        _lane,
+        (u, fields[0], angles[0], moduli, 0, mults, steps, inboxes[0], inboxes[1]),
+        (v, fields[1], angles[1], moduli, 1, mults, steps, inboxes[1], inboxes[0]),
+        stop,
+    )
 
 
 def _run_segment(u: np.ndarray, v: np.ndarray, grid: Grid1D, t0: float, t1: float, dt: float):
@@ -291,9 +270,9 @@ def evolve(
     check_domain_for_horizon(initial.u, initial.v, t_end)
 
     grid = initial.grid
-    u = initial.u.samples.copy()
-    v = initial.v.samples.copy()
-    snapshots = [PairState(ComplexField(grid, u, PHYSICAL), ComplexField(grid, v, PHYSICAL), 1.0)]
+    # the fields are read-only; the kernel copies them into its workspace
+    u, v = initial.u.samples, initial.v.samples
+    snapshots = [PairState(initial.u, initial.v, 1.0)]
     _check_edges(u, v, 1.0)
     t_prev = 1.0
     for t_next in times[1:]:

@@ -154,14 +154,22 @@ def _times_temporary(a: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndar
     return np.multiply(a, tmp, out=out)
 
 
-def _two_lanes(work, here: tuple, there: tuple) -> tuple:
+def _two_lanes(work, here: tuple, there: tuple, stop=None) -> tuple:
     """(work(*here), work(*there)), the first on the calling thread and the
-    second on a worker thread that lives only for the call.  Either lane's
+    second on a worker thread (scatterlab-lane_0) that lives only for the
+    call: the stepping kernel's lanes and the analysis'.  Either lane's
     exception is raised here, the calling lane's first, and only after the
-    worker has finished."""
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="scatterlab-analysis") as pool:
-        other = pool.submit(work, *there)
-        return work(*here), other.result()
+    worker has finished.  stop, if given, is called once the calling lane
+    has returned or raised, also when the worker failed to start: lanes that
+    wait on each other use it to release a worker still waiting."""
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="scatterlab-lane") as pool:
+        try:
+            other = pool.submit(work, *there)
+            mine = work(*here)
+        finally:
+            if stop is not None:
+                stop()
+        return mine, other.result()
 
 
 def require_same_grid(*fields: ComplexField) -> Grid1D:

@@ -543,7 +543,7 @@ class TestLanes:
             work = getattr(module, name)
 
             def failing(*args, work=work, name=name):
-                on_worker = threading.current_thread().name.startswith("scatterlab-analysis")
+                on_worker = threading.current_thread().name.startswith("scatterlab-lane")
                 if on_worker == (wrong == "v"):
                     raise LaneFault(name)
                 return work(*args)
@@ -562,7 +562,7 @@ class TestLanes:
             caller.join(timeout=60)
             assert not caller.is_alive(), name
             assert len(raised) == 1 and type(raised[0]) is LaneFault and str(raised[0]) == name
-            assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-analysis")]
+            assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
             monkeypatch.undo()
 
     def test_analysis_peak_memory(self):

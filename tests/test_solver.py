@@ -95,6 +95,29 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def on_worker():
+    return threading.current_thread().name.startswith("scatterlab-lane")
+
+
+def call_watched(kernel, *args):
+    """Run kernel(*args) on a watched thread, so that a hang fails the test,
+    and return the exceptions it raised; no lane thread may be left."""
+    raised = []
+
+    def call():
+        try:
+            kernel(*args)
+        except Exception as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
+    return raised
+
+
 class TestRotate:
     # numpy elides temporaries of 256 KiB and more (16384 complex points),
     # which changes the operand order of a complex product; sizes straddle it
@@ -276,37 +299,24 @@ class TestThreadedKernel:
     @pytest.mark.parametrize("wrong", ["u", "v"])
     def test_lane_error_reaches_caller(self, wrong):
         # the lane given the wrong size fails before its first step, while the
-        # other one steps on to the barrier; the call runs on a watched thread
-        # so that a hang fails the test
+        # other one steps on to its first exchange
         grid = sl.Grid1D(L=80.0, N=256)
         fields = {"u": np.ones(256, complex), "v": np.ones(256, complex)}
         fields[wrong] = np.ones(128, complex)
-        raised = []
-
-        def call():
-            try:
-                solver._step_fields(fields["u"], fields["v"], grid, [0.05, 0.05])
-            except Exception as exc:
-                raised.append(exc)
-
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
+        raised = call_watched(solver._step_fields, fields["u"], fields["v"], grid, [0.05, 0.05])
         assert len(raised) == 1 and type(raised[0]) is ValueError
         assert "(128,)" in str(raised[0])
-        assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
 
     @pytest.mark.parametrize("wrong", ["u", "v"])
     def test_lane_error_mid_run_reaches_caller(self, wrong, monkeypatch):
-        # the lane's forward transform of step 2 raises, after two token
-        # exchanges, while the other lane steps on to its next exchange; the
-        # call runs on a watched thread so that a hang fails the test
+        # u's lane is the thread that called the kernel, v's the worker; the
+        # lane's forward transform of step 2 raises, after two token
+        # exchanges, while the other lane steps on to its next exchange
         transform = solver.fft
         calls = []
 
         def failing_fft(x, *args, **kwargs):
-            if threading.current_thread().name == f"scatterlab-lane-{wrong}":
+            if on_worker() == (wrong == "v"):
                 calls.append(None)
                 if len(calls) == 3:
                     raise RuntimeError(f"lane {wrong} failed")
@@ -315,31 +325,39 @@ class TestThreadedKernel:
         monkeypatch.setattr(solver, "fft", failing_fft)
         grid = sl.Grid1D(L=80.0, N=256)
         u1, v1 = small_pair(grid)
-        raised = []
-
-        def call():
-            try:
-                solver._step_fields(u1.samples, v1.samples, grid, [0.05] * 6)
-            except Exception as exc:
-                raised.append(exc)
-
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=60)
-        assert not caller.is_alive()
+        raised = call_watched(solver._step_fields, u1.samples, v1.samples, grid, [0.05] * 6)
         assert len(calls) == 3
         assert len(raised) == 1 and type(raised[0]) is RuntimeError
         assert str(raised[0]) == f"lane {wrong} failed"
-        assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
 
-    def test_calling_thread_runs_no_transform(self, monkeypatch):
-        # every transform runs on a lane, in place in that lane's buffers
+    def test_calling_thread_failing_before_its_lane_reaches_caller(self, monkeypatch):
+        # the calling thread raises after the worker has started v's lane,
+        # which then waits for u's first token until the kernel stops it
+        lane = solver._lane
+
+        def late_lane(*args):
+            if not on_worker():
+                raise RuntimeError("calling thread failed")
+            return lane(*args)
+
+        monkeypatch.setattr(solver, "_lane", late_lane)
+        grid = sl.Grid1D(L=80.0, N=256)
+        u1, v1 = small_pair(grid)
+        raised = call_watched(solver._step_fields, u1.samples, v1.samples, grid, [0.05] * 6)
+        assert len(raised) == 1 and type(raised[0]) is RuntimeError
+        assert str(raised[0]) == "calling thread failed"
+
+    def test_each_field_transforms_on_its_own_lane(self, monkeypatch):
+        # u's transforms run on the calling thread and v's on the worker,
+        # each in place in its own lane's two field buffers
         calls = []
 
         def watching(transform):
             def watched(x, *args, **kwargs):
+                before = x.copy()
                 out = transform(x, *args, **kwargs)
-                calls.append((threading.current_thread().name, np.shares_memory(out, x)))
+                address = x.__array_interface__["data"][0]
+                calls.append((on_worker(), np.shares_memory(out, x), address, before))
                 return out
 
             return watched
@@ -350,8 +368,13 @@ class TestThreadedKernel:
         u1, v1 = small_pair(grid)
         solver._step_fields(u1.samples, v1.samples, grid, [0.05, 0.05, 0.02])
         # three steps are four transform pairs per field
-        lanes = ["scatterlab-lane-u", "scatterlab-lane-v"]
-        assert sorted(calls) == [(lane, True) for lane in lanes for _ in range(8)]
+        buffers = []
+        for worker, field in ((False, u1), (True, v1)):
+            mine = [c for c in calls if c[0] == worker]
+            assert len(mine) == 8 and all(in_place for _, in_place, _, _ in mine)
+            assert np.array_equal(mine[0][3], field.samples)
+            buffers.append({address for _, _, address, _ in mine})
+        assert len(buffers[0]) == len(buffers[1]) == 2 and not buffers[0] & buffers[1]
 
     def test_no_thread_outlives_evolve(self):
         grid = sl.Grid1D(L=200.0, N=256)
@@ -368,6 +391,49 @@ class TestThreadedKernel:
         with pytest.raises(BoundaryWrapError):
             run(grid, u1, v1, 30.0, 0.05, eps=0.5)
         assert threading.active_count() == before
+
+
+class TestMetamorphic:
+    """Symmetries of the coupled system, which the kernel keeps to round-off
+    on any step list: 151 steps at N = 1024, the last one short."""
+
+    GRID = sl.Grid1D(L=120.0, N=1024)
+    STEPS = [0.05] * 150 + [0.02]
+    DATA = dict(
+        shape=st.sampled_from(["gaussian", "sech", "modulated"]),
+        eps=st.floats(0.05, 0.4),
+        carrier=st.floats(-2.0, 2.0),
+    )
+
+    @settings(max_examples=20, deadline=None)
+    @given(**DATA)
+    def test_time_reversal(self, shape, eps, carrier):
+        # each substep's inverse is its negative, so the negated reversed
+        # step list undoes the run
+        data = [f.samples for f in sl.initial_pair(self.GRID, shape, eps, 3.0, carrier)]
+        there = solver._step_fields(*data, self.GRID, self.STEPS)
+        back = solver._step_fields(*there, self.GRID, [-h for h in reversed(self.STEPS)])
+        peak = max(np.max(np.abs(a)) for a in data)
+        for got, want in zip(back, data):
+            assert np.max(np.abs(got - want)) < 1e-12 * peak
+
+    @settings(max_examples=20, deadline=None)
+    @given(k=st.integers(-20, 20), **DATA)
+    def test_galilean_boost(self, k, shape, eps, carrier):
+        # data boosted by the grid frequency c = 2 pi k / L evolve to the
+        # solution shifted by 2 c T and multiplied by e^{i(c x - c^2 T)}
+        g = self.GRID
+        c = 2.0 * np.pi * k / g.L
+        T = sum(self.STEPS)
+        xi = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.dx)
+        data = [f.samples for f in sl.initial_pair(g, shape, eps, 3.0, carrier)]
+        plain = solver._step_fields(*data, g, self.STEPS)
+        boosted = solver._step_fields(*(a * np.exp(1j * c * g.x) for a in data), g, self.STEPS)
+        factor = np.exp(1j * (c * g.x - c**2 * T))
+        peak = max(np.max(np.abs(a)) for a in data)
+        for got, a in zip(boosted, plain):
+            want = factor * np.fft.ifft(np.fft.fft(a) * np.exp(-2j * c * T * xi))
+            assert np.max(np.abs(got - want)) < 1e-11 * peak
 
 
 class TestInputsUntouched:

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -52,6 +55,37 @@ class TestTransformBinding:
         for module in (solver, propagator):
             assert module.fft is spectral.fft
             assert module.ifft is spectral.ifft
+
+
+# names through which a module could start a thread of its own
+THREAD_STARTERS = {"Thread", "ThreadPoolExecutor", "threading", "_thread", "multiprocessing"}
+
+
+def thread_starter_sites(path):
+    """The top-level definitions of a module (None for module-level
+    statements) that name a thread starter."""
+    sites = set()
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            name = getattr(node, "id", None) or getattr(node, "attr", None) or getattr(node, "name", None)
+            if isinstance(node, (ast.Name, ast.Attribute, ast.alias)) and name in THREAD_STARTERS:
+                sites.add((path.name, getattr(top, "name", None)))
+    return sites
+
+
+class TestLaneMechanisms:
+    def test_threads_start_only_in_the_lane_helper_and_the_ray_pass(self):
+        # the stepping kernel and the analysis start their lanes through
+        # spectral._two_lanes; the ray pass keeps its own pool
+        package = Path(spectral.__file__).parent
+        sites = set().union(*(thread_starter_sites(p) for p in package.glob("*.py")))
+        assert sites == {
+            ("spectral.py", None),
+            ("spectral.py", "_two_lanes"),
+            ("propagator.py", None),
+            ("propagator.py", "_bluestein_plan"),
+            ("propagator.py", "spectrum_at"),
+        }
 
 
 class TestCis:
