@@ -90,33 +90,42 @@ class _BluesteinPlan(NamedTuple):
     out_phase: np.ndarray  # e^{-i x0 xi_k} e^{-i theta k^2 / 2}
 
 
-def _kernel_hat(buf: np.ndarray, half_theta: np.longdouble, square: np.ndarray, n: int, m: int) -> np.ndarray:
+def _kernel_hat(
+    buf: np.ndarray, half_theta: np.longdouble, square: np.ndarray, n: int, m: int, shift_scale: np.longdouble
+) -> tuple[np.ndarray, np.ndarray]:
     """The worker's share of a plan: the chirp e^{i theta s^2 / 2} over
-    s = 1-n .. m-1, written into the zeroed buffer and transformed in place."""
+    s = 1-n .. m-1, written into the zeroed buffer and transformed in place,
+    then the source shift e^{-i dx xi0 j} (shift_scale = -dx * xi0)."""
     # the chirp depends on |s| only: it is tabulated once over 0 .. max(n, m)-1
     half = _unit_phase(half_theta, square)
     buf[: n - 1] = half[n - 1 : 0 : -1]
     buf[n - 1 : n - 1 + m] = half[:m]
     del half  # before the transform's scratch: the worker's arena keeps its peak
-    return fft(buf, overwrite_x=True)
+    kernel_hat = fft(buf, overwrite_x=True)
+    # after the transform: the table reuses its arena's memory, adding no peak
+    return kernel_hat, _unit_phase(shift_scale, np.arange(n))
 
 
 def _bluestein_plan(
     pool: ThreadPoolExecutor, n: int, x0: float, dx: float, xi0: float, dxi: float, m: int
 ) -> _BluesteinPlan:
-    """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi;
-    the pool's worker builds kernel_hat while this thread builds the rest."""
+    """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi.
+    The pool's worker builds kernel_hat and then shift while this thread
+    builds chirp and out_phase: each lane tabulates two of the four unit
+    phases.  The convolution has the fast length L >= n + m - 1, the
+    kernel's span: output p sums phi_j kernel[(p - j) mod L], and for the
+    kept p = n-1 .. n+m-2 every p - j lies in 0 .. n+m-2, so none wraps."""
     theta = np.longdouble(dx) * np.longdouble(dxi)
     square = np.arange(max(n, m)) ** 2
-    buf = np.zeros(next_fast_len(2 * n + m - 2), dtype=np.complex128)
-    kernel = pool.submit(_kernel_hat, buf, theta / 2, square, n, m)
+    buf = np.zeros(next_fast_len(n + m - 1), dtype=np.complex128)
+    worker = pool.submit(_kernel_hat, buf, theta / 2, square, n, m, -np.longdouble(dx) * np.longdouble(xi0))
     chirp = _unit_phase(-theta / 2, square)
     ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), np.arange(m)) * np.exp(-1j * x0 * xi0)
-    shift = _unit_phase(-np.longdouble(dx) * np.longdouble(xi0), np.arange(n))
     # times a fresh array, as ray * _unit_phase(-theta / 2, k * k) is: numpy
     # then reuses large temporaries in place, which fixes the operand order
     out_phase = ray * chirp[:m].copy()
-    plan = _BluesteinPlan(kernel_hat=kernel.result(), shift=shift, chirp=chirp[:n], out_phase=out_phase)
+    kernel_hat, shift = worker.result()
+    plan = _BluesteinPlan(kernel_hat=kernel_hat, shift=shift, chirp=chirp[:n], out_phase=out_phase)
     for arr in plan:
         arr.flags.writeable = False
     return plan
@@ -145,11 +154,17 @@ def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.
     for a spectral field it is the band-limited (trigonometric) interpolant of
     the samples.  The fields share one grid and one Bluestein plan; each row
     is bitwise the value the field gives alone.  The sum computed is
-    (dx/sqrt(2*pi)) * sum_j phi_j e^{-i x_j xi}, in O((N+m) log(N+m)) per row.
-    The rows alternate between this thread and one worker that lives only for
-    the call, each lane in its own buffer.  Buffers and rows are allocated on
-    this thread: glibc gives the worker a malloc arena of its own, which
-    cannot reuse memory freed here.
+    (dx/sqrt(2*pi)) * sum_j phi_j e^{-i x_j xi}, in O((N+m) log(N+m)) per row,
+    through a chirp convolution of fast length L >= N + m - 1.
+    The plan evaluates at xi_k = xi[0] + k*dxi with dxi taken from the end
+    points; targets that drift from those points by more than 8 ulp of
+    max|xi| (linspace targets and grid rays stay within 3) raise ValueError.
+    Two lanes share the call: this thread and one worker that lives only for
+    the call.  The worker transforms the kernel and tabulates the source
+    shift while this thread tabulates the source chirp and the output phase;
+    then the rows alternate between the lanes, each lane in its own buffer.
+    Buffers and rows are allocated on this thread: glibc gives the worker a
+    malloc arena of its own, which cannot reuse memory freed here.
     """
     fields = list(fields)
     xi = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -157,8 +172,10 @@ def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.
         raise ValueError("spectrum_at needs at least one field and one target")
     g = require_same_grid(*fields)
     samples = [to_physical(f).samples for f in fields]
-    dxi = float(xi[1] - xi[0]) if xi.size >= 2 else 0.0
-    if not np.allclose(np.diff(xi), dxi, rtol=1e-12, atol=1e-15 * max(1.0, abs(xi[0]))):
+    # the step from the end points: a per-step check would let drift build up
+    dxi = float(xi[-1] - xi[0]) / (xi.size - 1) if xi.size >= 2 else 0.0
+    drift = np.max(np.abs(xi - (xi[0] + np.arange(xi.size) * dxi)))
+    if not drift <= 8 * np.spacing(np.max(np.abs(xi))):  # NaN targets fail too
         raise ValueError("spectrum_at requires uniformly spaced targets")
     scale = g.dx / _SQRT_2PI
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="scatterlab-lane") as pool:

@@ -297,6 +297,16 @@ class TrajectoryAnalysis:
     asym_v: np.ndarray
 
 
+def _norm_series(fields) -> tuple[np.ndarray, np.ndarray]:
+    """One component's max norm and mass at every snapshot."""
+    return np.array([norm_Linf(f) for f in fields]), np.array([norm_L2(f) ** 2 for f in fields])
+
+
+def _physical_limits(est: ScatteringEstimate) -> tuple[ComplexField, ComplexField]:
+    """One component's W and Gamma on the physical side, for the ray pass."""
+    return fourier_inverse(est.W), fourier_inverse(ComplexField(est.W.grid, est.gamma_limit, SPECTRAL))
+
+
 def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> TrajectoryAnalysis:
     """Run the full per-snapshot analysis; quantities that need a longer
     window or a finer frequency grid degrade to None/NaN rather than fail."""
@@ -311,17 +321,15 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
     del w_f, w_g  # only the estimates are read; the ray pass reuses this
 
     m = len(times)
-    u_linf = np.array([norm_Linf(s.u) for s in traj.snapshots])
-    v_linf = np.array([norm_Linf(s.v) for s in traj.snapshots])
-    u_mass = np.array([norm_L2(s.u) ** 2 for s in traj.snapshots])
-    v_mass = np.array([norm_L2(s.v) ** 2 for s in traj.snapshots])
+    (u_linf, u_mass), (v_linf, v_mass) = _two_lanes(
+        _norm_series, ([s.u for s in traj.snapshots],), ([s.v for s in traj.snapshots],)
+    )
     nanrow = np.full(m, np.nan)
     asym_u, asym_v = nanrow.copy(), nanrow.copy()
     if est_u is not None and with_asymptotic:
         # transformed once; every snapshot time evaluates all four on its rays
-        limits = [fourier_inverse(est_u.W), fourier_inverse(est_v.W)] + [
-            fourier_inverse(ComplexField(traj.grid, e.gamma_limit, SPECTRAL)) for e in (est_u, est_v)
-        ]
+        (lim_w_u, lim_gamma_u), (lim_w_v, lim_gamma_v) = _two_lanes(_physical_limits, (est_u,), (est_v,))
+        limits = [lim_w_u, lim_w_v, lim_gamma_u, lim_gamma_v]
         for i, t in enumerate(times):
             try:
                 targets = _ray_targets(traj.grid, t)

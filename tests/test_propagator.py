@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scatterlab as sl
 import threading
+import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
@@ -45,20 +46,32 @@ def build_plan(*geometry):
         return _bluestein_plan(pool, *geometry)
 
 
-def one_lane_spectrum(fields, targets):
+def one_lane_spectrum(fields, targets, length=None):
     """Reference for spectrum_at's two lanes: the plan applied to one field
-    after another, out of place, as a single-threaded loop does it."""
+    after another, out of place, as a single-threaded loop does it.  With a
+    length, the kernel is transformed again at that convolution length."""
     g = fields[0].grid
     n, m = g.N, len(targets)
-    plan = build_plan(n, float(g.x[0]), g.dx, float(targets[0]), float(targets[1] - targets[0]), m)
+    dxi = float(targets[-1] - targets[0]) / (m - 1)
+    plan = build_plan(n, float(g.x[0]), g.dx, float(targets[0]), dxi, m)
+    kernel_hat = plan.kernel_hat
+    if length is not None:
+        span = np.arange(1 - n, m)
+        kernel_hat = fft(_unit_phase(np.longdouble(g.dx) * np.longdouble(dxi) / 2, span * span), length)
     rows = []
     for f in fields:
         phi = to_physical(f).samples
-        conv = ifft(fft(phi * plan.shift * plan.chirp, plan.kernel_hat.size) * plan.kernel_hat)
+        conv = ifft(fft(phi * plan.shift * plan.chirp, kernel_hat.size) * kernel_hat)
         row = plan.out_phase * conv[n - 1 : n - 1 + m]
         row *= g.dx / np.sqrt(2 * np.pi)
         rows.append(row)
     return rows
+
+
+def noise_fields(grid, rng, k):
+    """k fields of complex noise, each on a random side."""
+    sides = rng.choice(["physical", "spectral"], size=k)
+    return [sl.ComplexField(grid, [1, 1j] @ rng.normal(size=(2, grid.N)), side) for side in sides]
 
 
 class TestFreeEvolve:
@@ -187,8 +200,7 @@ def count_plan_builds(monkeypatch):
 def assert_rows_equal_single_calls(n, k, seed, m):
     rng = np.random.default_rng(seed)
     grid = sl.Grid1D(L=50.0, N=n)
-    sides = rng.choice(["physical", "spectral"], size=k)
-    fields = [sl.ComplexField(grid, [1, 1j] @ rng.normal(size=(2, n)), side) for side in sides]
+    fields = noise_fields(grid, rng, k)
     targets = np.linspace(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), m)
     rows = sl.spectrum_at(fields, targets)
     assert len(rows) == k
@@ -210,6 +222,10 @@ class TestSeveralFields:
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 600),
     )
+    # linspace targets drift from targets[0] + k * (targets[1] - targets[0])
+    @example(n=8, k=3, seed=4, m=511)
+    @example(n=8, k=1, seed=2, m=583)
+    @example(n=8, k=3, seed=58, m=556)
     def test_rows_equal_single_calls(self, n, k, seed, m):
         assert_rows_equal_single_calls(n, k, seed, m)
 
@@ -273,8 +289,44 @@ class TestTwoLanes:
         with pytest.raises(RuntimeError, match="worker lane failed"):
             sl.spectrum_at(fields, grid.x / 2.0)
 
+    def test_worker_shift_error_propagates(self, monkeypatch):
+        # the worker tabulates the source shift after its kernel transform
+        grid = sl.Grid1D(L=50.0, N=256)
+        fields = [smooth_random(grid, s) for s in (9, 10, 11)]
+        worker_calls = []
+
+        def failing_unit_phase(*args):
+            if threading.current_thread() is not threading.main_thread():
+                worker_calls.append(args[1].size)
+                if len(worker_calls) == 2:
+                    raise RuntimeError("shift table failed")
+            return _unit_phase(*args)
+
+        monkeypatch.setattr(propagator, "_unit_phase", failing_unit_phase)
+        with pytest.raises(RuntimeError, match="shift table failed"):
+            sl.spectrum_at(fields, np.linspace(-2.0, 2.0, 300))
+        assert worker_calls == [300, 256]
+
 
 class TestBluesteinPlan:
+    def test_lanes_tabulate_two_phases_each(self, monkeypatch):
+        # worker: span chirp, kernel transform, source shift; caller: source
+        # chirp and output ray phase, while the worker is busy
+        events = []
+
+        def tracing(name, fn):
+            def traced(*args, **kwargs):
+                events.append((name, threading.current_thread() is threading.main_thread()))
+                return fn(*args, **kwargs)
+
+            return traced
+
+        monkeypatch.setattr(propagator, "_unit_phase", tracing("phase", _unit_phase))
+        monkeypatch.setattr(propagator, "fft", tracing("fft", fft))
+        build_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
+        assert [name for name, main in events if not main] == ["phase", "fft", "phase"]
+        assert [name for name, main in events if main] == ["phase", "phase"]
+
     def test_interleaved_geometries_and_fields(self, monkeypatch):
         grid = sl.Grid1D(L=50.0, N=1024)
         fields = [smooth_random(grid, 9), smooth_random(grid, 10)]
@@ -336,7 +388,42 @@ class TestRayEngine:
         out_phase = ray * _unit_phase(-theta / 2, k * k)
         assert np.array_equal(plan.out_phase, out_phase)
         kernel = _unit_phase(theta / 2, span * span)
-        assert np.array_equal(plan.kernel_hat, fft(kernel, next_fast_len(n + span.size - 1)))
+        assert np.array_equal(plan.kernel_hat, fft(kernel, next_fast_len(span.size)))
+
+    def test_rays_near_linear_convolution_length(self):
+        # the convolution is n + m - 1 long, not the linear 2n + m - 2: on the
+        # widest ray geometry of an N = 2^14 grid the rows move by round-off
+        n = 1 << 14
+        grid = sl.Grid1D(L=50.0, N=n)
+        t = np.nextafter(grid.L / (4.0 * grid.xi[-1]), np.inf)
+        with pytest.raises(FrequencyRangeError):
+            propagator._ray_targets(grid, t * (1 - 1e-9))
+        targets = propagator._ray_targets(grid, t)
+        fields = noise_fields(grid, np.random.default_rng(21), 4)
+        rows = sl.spectrum_at(fields, targets)
+        old = one_lane_spectrum(fields, targets, length=next_fast_len(2 * n + targets.size - 2))
+        assert old[0].size == rows[0].size == n
+        for f, row, ref in zip(fields, rows, old):
+            terms = grid.dx / np.sqrt(2 * np.pi) * np.sum(np.abs(to_physical(f).samples))
+            assert np.max(np.abs(row - ref)) <= 1e-14 * terms
+
+    def test_call_peak_memory(self):
+        # the traced peak of a four-field call at N = m = 2^14: the four rows,
+        # the kernel and two convolution buffers of 2N (a fast n + m - 1) and
+        # six rows of plan tables and temporaries.  The linear convolution's
+        # 3N buffers exceed it
+        ROWS = 16
+        n = 1 << 14
+        grid = sl.Grid1D(L=50.0, N=n)
+        fields = noise_fields(grid, np.random.default_rng(22), 4)
+        targets = np.linspace(-2.0, 2.7, n)
+        tracemalloc.start()
+        try:
+            sl.spectrum_at(fields, targets)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < ROWS * n * 16, peak / (n * 16)
 
     def test_old_plan_dropped_before_next_is_built(self, monkeypatch):
         grid = sl.Grid1D(L=50.0, N=256)

@@ -565,6 +565,57 @@ class TestLanes:
             assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
             monkeypatch.undo()
 
+    def test_series_and_limits_split_by_component(self, monkeypatch):
+        # u's norm series and physical limits on the calling thread, v's on
+        # the worker; the series are bitwise the one-thread loops
+        traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
+        calls = {}
+        for name in ("_norm_series", "_physical_limits"):
+            work = getattr(scattering, name)
+
+            def watched(arg, work=work, name=name):
+                calls[name, threading.current_thread() is threading.main_thread()] = arg
+                return work(arg)
+
+            monkeypatch.setattr(scattering, name, watched)
+        analysis = sl.analyze_trajectory(traj)
+        assert len(calls) == 4
+        fields_u, fields_v = calls["_norm_series", True], calls["_norm_series", False]
+        assert all(fu is s.u and fv is s.v for fu, fv, s in zip(fields_u, fields_v, traj.snapshots, strict=True))
+        assert calls["_physical_limits", True] is analysis.est_u
+        assert calls["_physical_limits", False] is analysis.est_v
+        for side, linf, mass in (("u", analysis.u_linf, analysis.u_mass), ("v", analysis.v_linf, analysis.v_mass)):
+            fields = [getattr(s, side) for s in traj.snapshots]
+            assert np.array_equal(bits(linf), bits(np.array([sl.norm_Linf(f) for f in fields])))
+            assert np.array_equal(bits(mass), bits(np.array([sl.norm_L2(f) ** 2 for f in fields])))
+
+    @pytest.mark.parametrize("name", ["_norm_series", "_physical_limits"])
+    @pytest.mark.parametrize("wrong", ["u", "v"])
+    def test_series_and_limits_lane_error_reaches_caller(self, wrong, name, monkeypatch):
+        traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
+        work = getattr(scattering, name)
+
+        def failing(*args):
+            if threading.current_thread().name.startswith("scatterlab-lane") == (wrong == "v"):
+                raise LaneFault(name)
+            return work(*args)
+
+        monkeypatch.setattr(scattering, name, failing)
+        raised = []
+
+        def call():
+            try:
+                sl.analyze_trajectory(traj)
+            except Exception as exc:
+                raised.append(exc)
+
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive()
+        assert len(raised) == 1 and type(raised[0]) is LaneFault
+        assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
+
     def test_analysis_peak_memory(self):
         # the traced peak (tracemalloc sees numpy's buffers) stays within the
         # profile block, both phase accumulators and ROWS rows of N complex
