@@ -32,6 +32,7 @@ from .propagator import (
     spectrum_at,
 )
 from .solver import (
+    BandEdgeError,
     BoundaryWrapError,
     DomainSizingError,
     PairState,

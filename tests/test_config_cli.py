@@ -1,9 +1,13 @@
+from pathlib import Path
+
 import pytest
 
 import scatterlab as sl
 import scatterlab.cli as cli
 from scatterlab.cli import main, oracle_cross_check
 from scatterlab.config import _KEYS, ConfigError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 GOOD_CONFIG = """
 # quick coupled run
@@ -150,6 +154,12 @@ class TestCli:
         assert "io.seed" in capsys.readouterr().err
         assert solves == []
 
+    def test_unresolved_grid_exits_2(self, tmp_path, capsys):
+        path = write_config(tmp_path, GOOD_CONFIG.replace("grid.N = 4096", "grid.N = 256"))
+        rc = main(["simulate", "--config", str(path), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        assert "grid N = 256" in capsys.readouterr().err
+
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["decay", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
@@ -222,6 +232,18 @@ class TestAnalysisCommands:
         report = (out / f"{command}_report.txt").read_text()
         assert rc == 0, report
         assert "[FAIL]" not in report
+
+
+class TestShippedConfigs:
+    # neither the grid rule nor the in-flight guards may fire on a shipped
+    # config; the reference run solves on 3840 points in about 2 s
+    @pytest.mark.parametrize("name", ["quick", "reference"])
+    def test_simulate_passes(self, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        rc = main(["simulate", "--config", str(CONFIGS / f"{name}.cfg"), "--outdir", str(out)])
+        assert rc == 0, capsys.readouterr()
+        lines = (out / "simulate_report.txt").read_text().splitlines()
+        assert lines and all(line.startswith("[PASS]") for line in lines)
 
 
 class TestOracleCrossCheck:

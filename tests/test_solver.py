@@ -1,5 +1,6 @@
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,9 @@ from hypothesis import strategies as st
 
 import scatterlab as sl
 from scatterlab import solver
-from scatterlab.solver import BoundaryWrapError, DomainSizingError
+from scatterlab.solver import BandEdgeError, BoundaryWrapError, DomainSizingError
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def small_pair(grid, eps=0.2, width=3.0):
@@ -272,18 +275,37 @@ class TestThreadedKernel:
         [(256, 80.0), (4096, 400.0), (2**13, 800.0), (2**14, 1600.0), (2**15, 2400.0), (2**18, 2400.0)],
     )
     def test_matches_sequential_loop_bitwise(self, N, L):
-        # two segments, the second ending in a short step: about 20 steps,
-        # or 5 at 2^18
+        # the segments evolve runs on its solve grid, driven here on the given
+        # grid: two segments, the second ending in a short step, about 20
+        # steps, or 5 at 2^18
         grid = sl.Grid1D(L=L, N=N)
         u1, v1 = sl.initial_pair(grid, "modulated", 0.2, 3.0, carrier=0.5)
-        params = sl.AnalysisParams.make(epsilon=0.2)
         times = [1.0, 1.5, 2.03] if N < 2**18 else [1.0, 1.1, 1.23]
-        traj = sl.evolve(sl.PairState(u1, v1, 1.0), times[-1], 0.05, times, params)
         oracle = sequential_evolve(u1.samples, v1.samples, grid, times, 0.05)
+        u, v = u1.samples, v1.samples
+        for t0, t1, (want_u, want_v) in zip(times, times[1:], oracle[1:]):
+            u, v = solver._run_segment(u, v, grid, t0, t1, 0.05)
+            assert np.array_equal(u, want_u)
+            assert np.array_equal(v, want_v)
+
+    def test_evolve_is_sequential_loop_on_solve_grid(self):
+        # evolve = restriction to the solve grid, the stepping, and
+        # prolongation of each snapshot, all three bitwise
+        grid = sl.Grid1D(L=400.0, N=4096)
+        u1, v1 = sl.initial_pair(grid, "modulated", 0.2, 3.0, carrier=0.5)
+        params = sl.AnalysisParams.make(epsilon=0.2)
+        times = [1.0, 1.5, 2.03]
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), times[-1], 0.05, times, params)
+        spectra = [sl.fourier_forward(f).samples for f in (u1, v1)]
+        solve = sl.Grid1D(L=grid.L, N=solver._solve_size(spectra, grid))
+        assert solve.N < grid.N
+        oracle = sequential_evolve(*(solver._resample(s, solve) for s in spectra), solve, times, 0.05)
         assert len(traj.snapshots) == len(oracle) == 3
-        for s, (u, v) in zip(traj.snapshots, oracle):
-            assert np.array_equal(s.u.samples, u)
-            assert np.array_equal(s.v.samples, v)
+        assert traj.snapshots[0].u is u1 and traj.snapshots[0].v is v1
+        for s, pair in zip(traj.snapshots[1:], oracle[1:]):
+            for got, f in zip((s.u, s.v), pair):
+                want = solver._resample(sl.fourier_forward(sl.ComplexField(solve, f, "physical")).samples, grid)
+                assert np.array_equal(got.samples, want)
 
     # 4096 is the quick config's grid, where the exchange between the lanes
     # weighs most in the step time
@@ -434,6 +456,104 @@ class TestMetamorphic:
         for got, a in zip(boosted, plain):
             want = factor * np.fft.ifft(np.fft.fft(a) * np.exp(-2j * c * T * xi))
             assert np.max(np.abs(got - want)) < 1e-11 * peak
+
+
+def segments_on_configured_grid(u, v, grid, times, dt):
+    """The steps of evolve without its solve grid: the kernel driven on the
+    configured grid, returning (u, v) at every time."""
+    out = [(u, v)]
+    for t0, t1 in zip(times, times[1:]):
+        u, v = solver._run_segment(u, v, grid, t0, t1, dt)
+        out.append((u, v))
+    return out
+
+
+def worst_relative_gap(traj, reference):
+    """Largest snapshot difference over the reference fields' peak."""
+    worst = 0.0
+    for s, (u, v) in zip(traj.snapshots, reference, strict=True):
+        peak = max(np.max(np.abs(u)), np.max(np.abs(v)))
+        worst = max(worst, np.max(np.abs(s.u.samples - u)) / peak, np.max(np.abs(s.v.samples - v)) / peak)
+    return worst
+
+
+class TestSolveGrid:
+    """evolve steps on the data's band (Nyquist >= 2 xi_max) and keeps its
+    snapshots on the configured grid."""
+
+    @pytest.mark.parametrize("name, n", [("quick", 756), ("reference", 3840)])
+    def test_solve_size_of_shipped_configs(self, name, n):
+        grid, _, u1, v1 = sl.build_experiment(sl.parse_config(CONFIGS / f"{name}.cfg"))
+        spectra = [sl.fourier_forward(f).samples for f in (u1, v1)]
+        assert solver._solve_size(spectra, grid) == n
+
+    def test_zero_data_uses_the_smallest_grid(self):
+        grid = sl.Grid1D(L=60.0, N=256)
+        assert solver._solve_size([np.zeros(grid.N)] * 2, grid) == 8
+
+    def test_agrees_with_configured_grid_solve(self):
+        cfg = sl.parse_config(CONFIGS / "quick.cfg")
+        grid, params, u1, v1 = sl.build_experiment(cfg)
+        schedule = sl.geometric_schedule(cfg.t_end)
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params)
+        assert traj.grid is grid and all(s.grid.N == grid.N for s in traj.snapshots)
+        full = segments_on_configured_grid(u1.samples, v1.samples, grid, traj.times, cfg.dt)
+        assert worst_relative_gap(traj, full) < 1e-11
+
+    def test_independent_of_configured_grid(self):
+        # the same data sampled at N and 2N: one solve grid, and snapshots
+        # that agree on the common nodes (every other node of the finer grid)
+        params = sl.AnalysisParams.make(epsilon=0.1)
+        runs, sizes = [], []
+        for N in (2048, 4096):
+            grid = sl.Grid1D(L=480.0, N=N)
+            u1, v1 = small_pair(grid, eps=0.1)
+            sizes.append(solver._solve_size([sl.fourier_forward(f).samples for f in (u1, v1)], grid))
+            runs.append(sl.evolve(sl.PairState(u1, v1, 1.0), 8.0, 0.02, sl.geometric_schedule(8.0), params))
+        assert sizes[0] == sizes[1] == 756
+        for a, b in zip(*(r.snapshots for r in runs), strict=True):
+            peak = max(np.max(np.abs(a.u.samples)), np.max(np.abs(a.v.samples)))
+            for fa, fb in ((a.u, b.u), (a.v, b.v)):
+                assert np.max(np.abs(fa.samples - fb.samples[::2])) < 1e-13 * peak
+
+    # width-2 Gaussians on L = 90 solve on 216 points; at eps >= 1 their
+    # band edge passes 1e-10 of the peak by t = 1.5 (2.5e-9 at eps = 1,
+    # 1.7e-6 at eps = 2), so that segment is redone on 432 points
+    @pytest.mark.parametrize("eps, redo", [(0.5, False), (1.0, True), (2.0, True)])
+    def test_band_edge_growth_redoes_the_segment(self, eps, redo, monkeypatch):
+        segment = solver._run_segment
+        calls = []
+
+        def watched(u, v, grid, t0, t1, dt):
+            calls.append((grid.N, t0))
+            return segment(u, v, grid, t0, t1, dt)
+
+        monkeypatch.setattr(solver, "_run_segment", watched)
+        grid = sl.Grid1D(L=90.0, N=1024)
+        u1, v1 = small_pair(grid, eps=eps, width=2.0)
+        params = sl.AnalysisParams.make(epsilon=eps)
+        times = [1.0, 1.5, 2.0, 2.5, 3.0]
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), 3.0, 0.001, times, params)
+        n = 432 if redo else 216
+        assert calls == [(216, 1.0)] * redo + [(n, t0) for t0 in times[:-1]]
+        full = segments_on_configured_grid(u1.samples, v1.samples, grid, times, 0.001)
+        assert worst_relative_gap(traj, full) < 1e-11
+
+    def test_band_edge_error_on_configured_grid(self):
+        # the same eps = 2 data on a configured grid of 216 points: no larger
+        # grid to redo the segment on
+        grid = sl.Grid1D(L=90.0, N=216)
+        u1, v1 = small_pair(grid, eps=2.0, width=2.0)
+        params = sl.AnalysisParams.make(epsilon=2.0)
+        with pytest.raises(BandEdgeError, match="N = 216"):
+            sl.evolve(sl.PairState(u1, v1, 1.0), 3.0, 0.001, [1.0, 1.5, 2.0], params)
+
+    def test_grid_rule_rejects_unresolved_data(self):
+        # the quick data on 256 points: Nyquist 1.68 against xi_max = 2.48
+        grid = sl.Grid1D(L=480.0, N=256)
+        u1, v1 = small_pair(grid, eps=0.1)
+        with pytest.raises(DomainSizingError, match="grid N = 256"):
+            sl.check_domain_for_horizon(u1, v1, 40.0)
 
 
 class TestInputsUntouched:
