@@ -10,7 +10,6 @@ pure roundoff.
 
 from __future__ import annotations
 
-import queue
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -26,7 +25,6 @@ from .spectral import (
     Grid1D,
     _cis,
     _times_temporary,
-    _two_lanes,
     fft,
     fourier_forward,
     fourier_inverse,
@@ -119,58 +117,13 @@ def strang_step(state: PairState, dt: float) -> PairState:
 def _rotate(
     a: np.ndarray, h: float, m_other: np.ndarray, out: np.ndarray, angle: np.ndarray
 ) -> np.ndarray:
-    """Potential flow of one field over time h under the other's frozen
-    modulus m_other = |other|^2, written into out, with angle as scratch for
-    -h * m_other.  Bitwise a * np.exp(-1j * h * m_other) but for the sign of
-    zero parts of a where m_other = 0 (the sine of -0.0 is -0.0)."""
+    """Potential flow of a field (or of each row of a block) over time h
+    under the other's frozen modulus m_other = |other|^2, written into out,
+    with angle as scratch for -h * m_other.  Bitwise
+    a * np.exp(-1j * h * m_other), row by row, but for the sign of zero
+    parts of a where m_other = 0 (the sine of -0.0 is -0.0)."""
     np.multiply(m_other, -h, out=angle)
     return _times_temporary(a, _cis(angle, out), out)
-
-
-def _lane(
-    a: np.ndarray,
-    fields: np.ndarray,
-    angle: np.ndarray,
-    moduli: np.ndarray,
-    lane: int,
-    mults: list[np.ndarray],
-    steps: Sequence[float],
-    inbox: queue.SimpleQueue,
-    outbox: queue.SimpleQueue,
-) -> np.ndarray | None:
-    """
-    One field's whole run in its own workspace: two field buffers
-    (fields[0], fields[1]) used in turn, one angle buffer, and its two
-    modulus slots moduli[lane].  The field starts as a copy of a in
-    fields[0]; step k rotates it by the other field's modulus from step k-1
-    (none before the first step) into fields[k % 2], transforms there in
-    place, publishes the field's own modulus in slot k % 2, puts step k's
-    token into the other lane's inbox (outbox) and takes the other lane's
-    step-k token from its own.  The other lane reads that slot in step k+1,
-    before it puts its step-(k+1) token, and this lane next writes the slot
-    in step k+2, after taking that token.  A False token stops the lane,
-    which then returns None; a lane that raises puts False into the other
-    lane's inbox first, so the other lane stops at its next exchange.
-    """
-    try:
-        f = fields[0]
-        np.copyto(f, a)
-        own, other = moduli[lane], moduli[1 - lane]
-        for k, mult in enumerate(mults):
-            if k:
-                f = _rotate(f, steps[k - 1], other[(k - 1) % 2], fields[k % 2], angle)
-            f = fft(f, overwrite_x=True)
-            f *= mult
-            f = ifft(f, overwrite_x=True)
-            if k < len(steps):
-                np.square(np.abs(f, out=own[k % 2]), out=own[k % 2])
-                outbox.put(True)
-                if not inbox.get():
-                    return None
-        return f
-    except BaseException:
-        outbox.put(False)
-        raise
 
 
 def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[float]):
@@ -178,20 +131,14 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
     The stepping kernel: Strang steps of the given lengths with adjacent
     linear half-steps fused (the same operator as repeated strang_step).
 
-    The fields meet only through the moduli, so u and v each step on their
-    own lane (`_lane`) through `spectral._two_lanes`: u on the calling
-    thread, v on its worker.  The lanes exchange one token per step through
-    two `queue.SimpleQueue` inboxes, which are written in C (a
-    `threading.Barrier` is a Condition written in Python).  Like the direct
-    FFT binding of `spectral`, this keeps Python off the lanes' path: the
-    Python a lane runs holds the GIL, so each microsecond of it per step
-    can stall the other lane.  Each field sees a sequential loop's
-    operations in order, so the output is bit-identical to it.  This thread
-    allocates every buffer before the lanes start, so the fields returned
-    (rows of the field block) live in its heap, and every transform runs in
-    place in them.  When the calling lane returns or raises, False goes into
-    both inboxes, so a worker still waiting for a token stops; either lane's
-    exception is raised here.
+    u and v are the two rows of one (2, n) block, stepped on the calling
+    thread: each step rotates the block by its swapped moduli from the
+    previous step (none before the first) into the free buffer of a
+    [buffer, field] workspace, transforms it there in place along its rows,
+    multiplies by the fused linear factor and publishes the moduli.  Each
+    row sees a per-field sequential loop's operations in order, so the
+    output (two rows of the workspace) is bit-identical to it; the caller's
+    arrays are only read.
     """
 
     @cache
@@ -204,24 +151,20 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
 
     mults = [half(steps[0]), *(fused(p, h) for p, h in zip(steps, steps[1:])), half(steps[-1])]
     n = grid.N
-    # one block per kind: seven separate buffers, freed after each segment
-    # under the snapshots evolve copies, leave about 7 MB of holes in the
-    # heap by the end of the reference run
-    fields = np.empty((2, 2, n), np.complex128)  # [lane, buffer]
-    angles = np.empty((2, n))
-    moduli = np.empty((2, 2, n))  # [lane, slot]
-    inboxes = (queue.SimpleQueue(), queue.SimpleQueue())
-
-    def stop() -> None:
-        for inbox in inboxes:
-            inbox.put(False)
-
-    return _two_lanes(
-        _lane,
-        (u, fields[0], angles[0], moduli, 0, mults, steps, inboxes[0], inboxes[1]),
-        (v, fields[1], angles[1], moduli, 1, mults, steps, inboxes[1], inboxes[0]),
-        stop,
-    )
+    work = np.empty((2, 2, n), np.complex128)  # [buffer, field]
+    angle = np.empty((2, n))
+    moduli = np.empty((2, n))
+    f = work[0]
+    f[0], f[1] = u, v
+    for k, mult in enumerate(mults):
+        if k:
+            f = _rotate(f, steps[k - 1], moduli[::-1], work[k % 2], angle)
+        f = fft(f, overwrite_x=True)
+        f *= mult
+        f = ifft(f, overwrite_x=True)
+        if k < len(steps):
+            np.square(np.abs(f, out=moduli), out=moduli)
+    return f[0], f[1]
 
 
 def _run_segment(u: np.ndarray, v: np.ndarray, grid: Grid1D, t0: float, t1: float, dt: float):

@@ -23,12 +23,14 @@ import numpy as np
 from scipy.fft import fftshift, ifftshift
 
 # The package's one FFT entry point, `fft`/`ifft` below, calls pocketfft's
-# c2c as scipy.fft.fft/ifft do on complex 1-D input (bitwise numpy's FFT;
+# c2c as scipy.fft.fft/ifft do on complex input (bitwise numpy's FFT;
 # scipy's real-input path differs by round-off) without scipy's Python
-# dispatch, 3.5-5 us per call on a 2-vCPU VM, which the stepping lanes
-# would spend holding the GIL.  It is the package's one private scipy
-# dependency, checked only against scipy 1.17.1; a scipy without it fails
-# here, at import, with no fallback path.
+# dispatch, which the stepping kernel would pay on each of its two
+# transforms per step: at the 756 points of quick.cfg's solve grid a step
+# took 55-90 us through this binding, 69-99 us through scipy.fft and
+# 89-106 us through np.fft with out= (2-vCPU VM).  It is the package's one
+# private scipy dependency, checked only against scipy 1.17.1; a scipy
+# without it fails here, at import, with no fallback path.
 from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
 
 PHYSICAL = "physical"
@@ -42,17 +44,17 @@ _ROUNDOFF = 1e-12
 
 
 def fft(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Unnormalized forward DFT of a complex 1-D array, bitwise
-    scipy.fft.fft(x, overwrite_x=overwrite_x): into x itself when
+    """Unnormalized forward DFT of a complex array along its last axis,
+    bitwise scipy.fft.fft(x, overwrite_x=overwrite_x): into x itself when
     overwrite_x, else into a new array without writing x, which may then be
     read-only."""
-    return _c2c(x, (0,), True, 0, x if overwrite_x else None, 1)
+    return _c2c(x, (-1,), True, 0, x if overwrite_x else None, 1)
 
 
 def ifft(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Inverse DFT (scaled by 1/N) of a complex 1-D array, bitwise
-    scipy.fft.ifft(x, overwrite_x=overwrite_x), in place as fft is."""
-    return _c2c(x, (0,), False, 2, x if overwrite_x else None, 1)
+    """Inverse DFT (scaled by 1/N) of a complex array along its last axis,
+    bitwise scipy.fft.ifft(x, overwrite_x=overwrite_x), in place as fft is."""
+    return _c2c(x, (-1,), False, 2, x if overwrite_x else None, 1)
 
 
 class SideMismatchError(ValueError):
@@ -148,28 +150,22 @@ _ELIDE_BYTES = 256 * 1024
 def _times_temporary(a: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
     """a * tmp into out, bitwise numpy's a * tmp for a fresh temporary tmp:
     the complex product is not bitwise commutative, so keep the operand order
-    numpy's temporary elision gives it."""
-    if tmp.nbytes >= _ELIDE_BYTES:
+    numpy's temporary elision gives it.  The order follows one row's bytes,
+    not the whole array's, so a block of rows is multiplied as each row
+    alone would be."""
+    if tmp.shape[-1] * tmp.itemsize >= _ELIDE_BYTES:
         return np.multiply(tmp, a, out=out)
     return np.multiply(a, tmp, out=out)
 
 
-def _two_lanes(work, here: tuple, there: tuple, stop=None) -> tuple:
+def _two_lanes(work, here: tuple, there: tuple) -> tuple:
     """(work(*here), work(*there)), the first on the calling thread and the
     second on a worker thread (scatterlab-lane_0) that lives only for the
-    call: the stepping kernel's lanes and the analysis'.  Either lane's
-    exception is raised here, the calling lane's first, and only after the
-    worker has finished.  stop, if given, is called once the calling lane
-    has returned or raised, also when the worker failed to start: lanes that
-    wait on each other use it to release a worker still waiting."""
+    call: the analysis' two lanes.  Either lane's exception is raised here,
+    the calling lane's first, and only after the worker has finished."""
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="scatterlab-lane") as pool:
-        try:
-            other = pool.submit(work, *there)
-            mine = work(*here)
-        finally:
-            if stop is not None:
-                stop()
-        return mine, other.result()
+        other = pool.submit(work, *there)
+        return work(*here), other.result()
 
 
 def require_same_grid(*fields: ComplexField) -> Grid1D:

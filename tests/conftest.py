@@ -15,8 +15,8 @@ ASYM_T_END = 256.0
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_a_test():
-    """Lane threads, `spectral._two_lanes`' worker (the stepping kernel's v
-    lane and the analysis') and the ray pass's worker, live only for a call."""
+    """The analysis' lane worker (`spectral._two_lanes`) and the ray pass's
+    worker live only for a call; the stepping kernel starts no thread."""
     before = threading.enumerate()
     yield
     after = threading.enumerate()

@@ -1,4 +1,3 @@
-import sys
 import threading
 from pathlib import Path
 
@@ -35,14 +34,33 @@ def rotate(a, h, m):
     return solver._rotate(a, h, m, np.empty(a.shape, complex), np.empty(a.shape))
 
 
-def sequential_evolve(u, v, grid, times, dt):
-    """Single-threaded oracle: the plain split-step loop, one field after the
-    other with fused linear half-steps, returning (u, v) at every time."""
+def sequential_steps(u, v, grid, steps):
+    """Single-threaded oracle: the plain split-step loop over a step list,
+    one field after the other with fused linear half-steps, np.fft and
+    complex np.exp."""
     xi = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.dx)
 
     def half(h):
         return np.exp(-0.5j * h * xi**2)
 
+    prev = None
+    for h in steps:
+        mult = half(h) if prev is None else half(prev) * half(h)
+        u = np.fft.ifft(np.fft.fft(u) * mult)
+        v = np.fft.ifft(np.fft.fft(v) * mult)
+        mu = np.abs(u) ** 2
+        mv = np.abs(v) ** 2
+        u = u * np.exp(-1j * h * mv)
+        v = v * np.exp(-1j * h * mu)
+        prev = h
+    u = np.fft.ifft(np.fft.fft(u) * half(prev))
+    v = np.fft.ifft(np.fft.fft(v) * half(prev))
+    return u, v
+
+
+def sequential_evolve(u, v, grid, times, dt):
+    """The oracle over the segments evolve runs, returning (u, v) at every
+    time."""
     out = [(u, v)]
     for t0, t1 in zip(times, times[1:]):
         span = t1 - t0
@@ -50,18 +68,7 @@ def sequential_evolve(u, v, grid, times, dt):
         rest = span - n_full * dt
         if rest < 1e-12 * max(1.0, t1):
             rest = 0.0
-        prev = None
-        for h in [dt] * n_full + ([rest] if rest > 0.0 else []):
-            mult = half(h) if prev is None else half(prev) * half(h)
-            u = np.fft.ifft(np.fft.fft(u) * mult)
-            v = np.fft.ifft(np.fft.fft(v) * mult)
-            mu = np.abs(u) ** 2
-            mv = np.abs(v) ** 2
-            u = u * np.exp(-1j * h * mv)
-            v = v * np.exp(-1j * h * mu)
-            prev = h
-        u = np.fft.ifft(np.fft.fft(u) * half(prev))
-        v = np.fft.ifft(np.fft.fft(v) * half(prev))
+        u, v = sequential_steps(u, v, grid, [dt] * n_full + ([rest] if rest > 0.0 else []))
         out.append((u, v))
     return out
 
@@ -98,29 +105,6 @@ def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
 
 
-def on_worker():
-    return threading.current_thread().name.startswith("scatterlab-lane")
-
-
-def call_watched(kernel, *args):
-    """Run kernel(*args) on a watched thread, so that a hang fails the test,
-    and return the exceptions it raised; no lane thread may be left."""
-    raised = []
-
-    def call():
-        try:
-            kernel(*args)
-        except Exception as exc:
-            raised.append(exc)
-
-    caller = threading.Thread(target=call, daemon=True)
-    caller.start()
-    caller.join(timeout=60)
-    assert not caller.is_alive()
-    assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
-    return raised
-
-
 class TestRotate:
     # numpy elides temporaries of 256 KiB and more (16384 complex points),
     # which changes the operand order of a complex product; sizes straddle it
@@ -139,6 +123,21 @@ class TestRotate:
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
         want = a * np.exp(-1j * h * m)
         assert np.array_equal(bits(rotate(a, h, m)), bits(want))
+
+    # the kernel rotates u and v as one (2, n) block by the swapped moduli;
+    # the operand order follows one row's size, so a block of two 8192-point
+    # rows (256 KiB in all) still multiplies field first
+    @pytest.mark.parametrize("n", [8192, 16384])
+    def test_block_bitwise_per_row_complex_exp(self, n):
+        rng = np.random.default_rng(n)
+        block = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        moduli = np.abs(block) ** 2
+        moduli[:, ::5] = 0.0
+        h = 0.05
+        got = rotate(block, h, moduli[::-1])
+        for row, a, m_other in zip(got, block, moduli[::-1]):
+            want = a * np.exp(-1j * h * m_other)  # outside the assert, which pytest rewrites
+            assert np.array_equal(bits(row), bits(want))
 
 
 class TestStrangStep:
@@ -267,9 +266,20 @@ class TestEvolve:
             sl.evolve(sl.PairState(u1, v1, 2.0), 4.0, 0.05, [1.0, 4.0], params)
 
 
+# step lists whose neighbours differ somewhere, so the kernel fuses half-steps
+# of two lengths, ending in a step shorter than the rest, as a segment's does
+STEP_LISTS = st.builds(
+    lambda body, last: [*body, last],
+    st.lists(st.sampled_from([0.03, 0.05, 0.07]) | st.floats(0.02, 0.08), min_size=2, max_size=150).filter(
+        lambda body: any(a != b for a, b in zip(body, body[1:]))
+    ),
+    st.floats(1e-4, 0.02),
+)
+
+
 class TestThreadedKernel:
     # 2^13 and 2^14 straddle numpy's temporary-elision size, where the
-    # lanes' rotation switches its operand order
+    # rotation switches its operand order
     @pytest.mark.parametrize(
         "N, L",
         [(256, 80.0), (4096, 400.0), (2**13, 800.0), (2**14, 1600.0), (2**15, 2400.0), (2**18, 2400.0)],
@@ -307,71 +317,29 @@ class TestThreadedKernel:
                 want = solver._resample(sl.fourier_forward(sl.ComplexField(solve, f, "physical")).samples, grid)
                 assert np.array_equal(got.samples, want)
 
-    # 4096 is the quick config's grid, where the exchange between the lanes
-    # weighs most in the step time
-    @pytest.mark.parametrize("N, L", [(256, 80.0), (4096, 400.0)])
-    def test_bitwise_under_frequent_thread_switching(self, N, L):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            self.test_matches_sequential_loop_bitwise(N, L)
-        finally:
-            sys.setswitchinterval(interval)
+    @settings(max_examples=40, deadline=None)
+    @given(half_n=st.integers(4, 512), steps=STEP_LISTS, seed=st.integers(0, 2**32 - 1))
+    def test_matches_sequential_loop_on_drawn_step_lists(self, half_n, steps, seed):
+        grid = sl.Grid1D(L=120.0, N=2 * half_n)
+        rng = np.random.default_rng(seed)
+        u, v = rng.normal(size=(2, grid.N)) + 1j * rng.normal(size=(2, grid.N))
+        got = solver._step_fields(u, v, grid, steps)
+        for row, want in zip(got, sequential_steps(u, v, grid, steps)):
+            assert np.array_equal(bits(row), bits(want))
 
     @pytest.mark.parametrize("wrong", ["u", "v"])
     def test_lane_error_reaches_caller(self, wrong):
-        # the lane given the wrong size fails before its first step, while the
-        # other one steps on to its first exchange
+        # a field of the wrong size fails before the first step
         grid = sl.Grid1D(L=80.0, N=256)
         fields = {"u": np.ones(256, complex), "v": np.ones(256, complex)}
         fields[wrong] = np.ones(128, complex)
-        raised = call_watched(solver._step_fields, fields["u"], fields["v"], grid, [0.05, 0.05])
-        assert len(raised) == 1 and type(raised[0]) is ValueError
-        assert "(128,)" in str(raised[0])
+        with pytest.raises(ValueError, match=r"\(128,\)"):
+            solver._step_fields(fields["u"], fields["v"], grid, [0.05, 0.05])
 
-    @pytest.mark.parametrize("wrong", ["u", "v"])
-    def test_lane_error_mid_run_reaches_caller(self, wrong, monkeypatch):
-        # u's lane is the thread that called the kernel, v's the worker; the
-        # lane's forward transform of step 2 raises, after two token
-        # exchanges, while the other lane steps on to its next exchange
-        transform = solver.fft
-        calls = []
-
-        def failing_fft(x, *args, **kwargs):
-            if on_worker() == (wrong == "v"):
-                calls.append(None)
-                if len(calls) == 3:
-                    raise RuntimeError(f"lane {wrong} failed")
-            return transform(x, *args, **kwargs)
-
-        monkeypatch.setattr(solver, "fft", failing_fft)
-        grid = sl.Grid1D(L=80.0, N=256)
-        u1, v1 = small_pair(grid)
-        raised = call_watched(solver._step_fields, u1.samples, v1.samples, grid, [0.05] * 6)
-        assert len(calls) == 3
-        assert len(raised) == 1 and type(raised[0]) is RuntimeError
-        assert str(raised[0]) == f"lane {wrong} failed"
-
-    def test_calling_thread_failing_before_its_lane_reaches_caller(self, monkeypatch):
-        # the calling thread raises after the worker has started v's lane,
-        # which then waits for u's first token until the kernel stops it
-        lane = solver._lane
-
-        def late_lane(*args):
-            if not on_worker():
-                raise RuntimeError("calling thread failed")
-            return lane(*args)
-
-        monkeypatch.setattr(solver, "_lane", late_lane)
-        grid = sl.Grid1D(L=80.0, N=256)
-        u1, v1 = small_pair(grid)
-        raised = call_watched(solver._step_fields, u1.samples, v1.samples, grid, [0.05] * 6)
-        assert len(raised) == 1 and type(raised[0]) is RuntimeError
-        assert str(raised[0]) == "calling thread failed"
-
-    def test_each_field_transforms_on_its_own_lane(self, monkeypatch):
-        # u's transforms run on the calling thread and v's on the worker,
-        # each in place in its own lane's two field buffers
+    def test_transforms_run_in_place_on_the_calling_thread(self, monkeypatch):
+        # u and v step as the rows of one (2, N) block: each transform runs
+        # on the calling thread, in place in one of the workspace's two
+        # field buffers
         calls = []
 
         def watching(transform):
@@ -379,7 +347,7 @@ class TestThreadedKernel:
                 before = x.copy()
                 out = transform(x, *args, **kwargs)
                 address = x.__array_interface__["data"][0]
-                calls.append((on_worker(), np.shares_memory(out, x), address, before))
+                calls.append((threading.current_thread(), out is x, address, before))
                 return out
 
             return watched
@@ -389,14 +357,27 @@ class TestThreadedKernel:
         grid = sl.Grid1D(L=80.0, N=256)
         u1, v1 = small_pair(grid)
         solver._step_fields(u1.samples, v1.samples, grid, [0.05, 0.05, 0.02])
-        # three steps are four transform pairs per field
-        buffers = []
-        for worker, field in ((False, u1), (True, v1)):
-            mine = [c for c in calls if c[0] == worker]
-            assert len(mine) == 8 and all(in_place for _, in_place, _, _ in mine)
-            assert np.array_equal(mine[0][3], field.samples)
-            buffers.append({address for _, _, address, _ in mine})
-        assert len(buffers[0]) == len(buffers[1]) == 2 and not buffers[0] & buffers[1]
+        # three steps are four transform pairs
+        assert len(calls) == 8
+        assert all(thread is threading.current_thread() and in_place for thread, in_place, _, _ in calls)
+        assert all(before.shape == (2, grid.N) for _, _, _, before in calls)
+        assert np.array_equal(calls[0][3], np.stack([u1.samples, v1.samples]))
+        assert len({address for _, _, address, _ in calls}) == 2
+
+    def test_evolve_and_strang_step_start_no_thread(self, monkeypatch):
+        started = []
+        start = threading.Thread.start
+
+        def watched(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", watched)
+        grid = sl.Grid1D(L=200.0, N=256)
+        u1, v1 = small_pair(grid, eps=0.1)
+        sl.strang_step(sl.PairState(u1, v1, 1.0), 0.05)
+        run(grid, u1, v1, 3.0, 0.05, eps=0.1)
+        assert started == []
 
     def test_no_thread_outlives_evolve(self):
         grid = sl.Grid1D(L=200.0, N=256)
@@ -417,7 +398,8 @@ class TestThreadedKernel:
 
 class TestMetamorphic:
     """Symmetries of the coupled system, which the kernel keeps to round-off
-    on any step list: 151 steps at N = 1024, the last one short."""
+    on any step list at N = 1024: drawn lists of up to 151 steps, and 151
+    steps of which the last is short."""
 
     GRID = sl.Grid1D(L=120.0, N=1024)
     STEPS = [0.05] * 150 + [0.02]
@@ -428,13 +410,13 @@ class TestMetamorphic:
     )
 
     @settings(max_examples=20, deadline=None)
-    @given(**DATA)
-    def test_time_reversal(self, shape, eps, carrier):
+    @given(steps=STEP_LISTS, **DATA)
+    def test_time_reversal(self, steps, shape, eps, carrier):
         # each substep's inverse is its negative, so the negated reversed
         # step list undoes the run
         data = [f.samples for f in sl.initial_pair(self.GRID, shape, eps, 3.0, carrier)]
-        there = solver._step_fields(*data, self.GRID, self.STEPS)
-        back = solver._step_fields(*there, self.GRID, [-h for h in reversed(self.STEPS)])
+        there = solver._step_fields(*data, self.GRID, steps)
+        back = solver._step_fields(*there, self.GRID, [-h for h in reversed(steps)])
         peak = max(np.max(np.abs(a)) for a in data)
         for got, want in zip(back, data):
             assert np.max(np.abs(got - want)) < 1e-12 * peak

@@ -1,4 +1,6 @@
 import ast
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +53,20 @@ class TestTransformBinding:
         assert out is buf
         assert out.tobytes() == reference(a.copy(), overwrite_x=True).tobytes()
 
+    # the stepping kernel transforms u and v as the two rows of one block;
+    # 756 and 3840 are the shipped configs' solve sizes
+    @pytest.mark.parametrize("n", [756, 3840, 2**15])
+    @pytest.mark.parametrize("name", ["fft", "ifft"])
+    def test_block_rows_bitwise_single_rows(self, name, n):
+        rng = np.random.default_rng(n)
+        block = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        binding = getattr(spectral, name)
+        want = [binding(row) for row in block]
+        out = binding(block, overwrite_x=True)
+        assert out is block
+        for got, row in zip(out, want):
+            assert got.tobytes() == row.tobytes()
+
     def test_only_entry_point(self):
         for module in (solver, propagator):
             assert module.fft is spectral.fft
@@ -75,8 +91,8 @@ def thread_starter_sites(path):
 
 class TestLaneMechanisms:
     def test_threads_start_only_in_the_lane_helper_and_the_ray_pass(self):
-        # the stepping kernel and the analysis start their lanes through
-        # spectral._two_lanes; the ray pass keeps its own pool
+        # the analysis starts its lanes through spectral._two_lanes and the
+        # ray pass keeps its own pool; the stepping kernel starts none
         package = Path(spectral.__file__).parent
         sites = set().union(*(thread_starter_sites(p) for p in package.glob("*.py")))
         assert sites == {
@@ -86,6 +102,89 @@ class TestLaneMechanisms:
             ("propagator.py", "_bluestein_plan"),
             ("propagator.py", "spectrum_at"),
         }
+
+
+def on_worker():
+    return threading.current_thread().name.startswith("scatterlab-lane")
+
+
+def call_watched(call, *args):
+    """Run call(*args) on a watched thread, so that a hang fails the test,
+    and return what it returned or raised; no lane thread may be left."""
+    outcome = []
+
+    def watched():
+        try:
+            outcome.append(call(*args))
+        except Exception as exc:
+            outcome.append(exc)
+
+    caller = threading.Thread(target=watched, daemon=True)
+    caller.start()
+    caller.join(timeout=60)
+    assert not caller.is_alive()
+    assert not [t.name for t in threading.enumerate() if t.name.startswith("scatterlab-lane")]
+    return outcome[0]
+
+
+class LaneFault(RuntimeError):
+    pass
+
+
+def lane_work(fail):
+    """A lane body for spectral._two_lanes: returns its tag and whether it
+    ran on the worker, or raises LaneFault(tag) on the lanes named in fail."""
+
+    def work(tag):
+        if tag in fail:
+            raise LaneFault(tag)
+        return tag, on_worker()
+
+    return work
+
+
+class TestTwoLanes:
+    def test_results_in_here_there_order(self):
+        got = call_watched(spectral._two_lanes, lane_work(()), ("here",), ("there",))
+        assert got == (("here", False), ("there", True))
+
+    def test_worker_error_reaches_caller(self):
+        raised = call_watched(spectral._two_lanes, lane_work(("there",)), ("here",), ("there",))
+        assert type(raised) is LaneFault and str(raised) == "there"
+
+    def test_calling_lane_error_wins_once_the_worker_has_finished(self):
+        # the worker raises too, but only after the calling lane has raised
+        # and a pause: the caller must still see its own lane's exception,
+        # and only once the worker is done
+        raising = threading.Event()
+        finished = []
+
+        def work(tag):
+            if not on_worker():
+                raising.set()
+                raise LaneFault(tag)
+            assert raising.wait(timeout=30)
+            time.sleep(0.05)
+            finished.append(tag)
+            raise LaneFault(tag)
+
+        def call():
+            try:
+                spectral._two_lanes(work, ("here",), ("there",))
+            except LaneFault as exc:
+                return exc, list(finished)
+
+        raised, finished_then = call_watched(call)
+        assert str(raised) == "here"
+        assert finished_then == ["there"]
+
+    @pytest.mark.parametrize(
+        "fail", [(), ("here",), ("there",), ("here", "there")], ids=["none", "here", "there", "both"]
+    )
+    def test_no_thread_outlives_the_call(self, fail):
+        before = threading.enumerate()
+        call_watched(spectral._two_lanes, lane_work(fail), ("here",), ("there",))
+        assert threading.enumerate() == before
 
 
 class TestCis:
