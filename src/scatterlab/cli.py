@@ -1,10 +1,12 @@
 """
-Command-line entry point: named experiments over one configured trajectory.
+Command-line entry point: one solve per invocation, then the command's
+verdict `_COMMANDS[name](cfg, traj, outdir) -> report lines` on that solve.
 
     scatterlab <simulate|decay|scattering|remainder|asymptotic>
                --config <path> [--outdir <path>] [--seed <u64>]
 
-Exit codes: 0 success, 1 runtime or numerical failure, 2 configuration error.
+Exit codes: 0 success, 1 runtime or numerical failure, 2 configuration error,
+including an output directory that cannot be created and a non-UTF-8 config.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, ExperimentConfig, build_experiment, parse_config
+from .config import ConfigError, build_experiment, parse_config
 from .ratefit import fit_rate
 from .remainder import (
     TrilinearInput,
@@ -43,24 +45,16 @@ def _line(ok: bool, label: str, detail: str) -> str:
     return f"[{'PASS' if ok else 'FAIL'}] {label}: {detail}"
 
 
-def _run_trajectory(cfg: ExperimentConfig, experiment):
-    _, params, u1, v1 = experiment
-    schedule = geometric_schedule(cfg.t_end, cfg.schedule_ratio)
-    initial = PairState(u1, v1, 1.0)
-    return evolve(initial, cfg.t_end, cfg.dt, schedule, params)
+def _analyze(traj, outdir: Path, with_asymptotic: bool = True):
+    analysis = analyze_trajectory(traj, with_asymptotic)
+    write_snapshot_csv(outdir / "snapshots.csv", analysis)
+    return analysis
 
 
-def _fit_window(analysis, lo: float):
-    mask = analysis.times >= lo * (1 - 1e-12)
-    return analysis.times[mask], mask
-
-
-def cmd_simulate(cfg, experiment, outdir: Path) -> list[str]:
-    traj = _run_trajectory(cfg, experiment)
+def cmd_simulate(cfg, traj, outdir: Path) -> list[str]:
     if cfg.save_snapshots:
         save_trajectory(traj, outdir / "trajectory.bin")
-    analysis = analyze_trajectory(traj)
-    write_snapshot_csv(outdir / "snapshots.csv", analysis)
+    analysis = _analyze(traj, outdir)
     drift_u = np.max(np.abs(analysis.u_mass - analysis.u_mass[0]))
     drift_v = np.max(np.abs(analysis.v_mass - analysis.v_mass[0]))
     ref_u = analysis.u_mass[0] or 1.0
@@ -71,12 +65,11 @@ def cmd_simulate(cfg, experiment, outdir: Path) -> list[str]:
     ]
 
 
-def cmd_decay(cfg, experiment, outdir: Path) -> list[str]:
-    traj = _run_trajectory(cfg, experiment)
-    analysis = analyze_trajectory(traj, with_asymptotic=False)
-    write_snapshot_csv(outdir / "snapshots.csv", analysis)
+def cmd_decay(cfg, traj, outdir: Path) -> list[str]:
+    analysis = _analyze(traj, outdir, with_asymptotic=False)
     # dispersive decay only sets in past t ~ width^2; fit from t = 10 on
-    times, mask = _fit_window(analysis, max(10.0, cfg.t_end / 20.0))
+    mask = analysis.times >= max(10.0, cfg.t_end / 20.0) * (1 - 1e-12)
+    times = analysis.times[mask]
     lines = []
     if np.max(analysis.u_linf) == 0.0 and np.max(analysis.v_linf) == 0.0:
         return ["[PASS] decay: vacuous (zero data)"]
@@ -89,10 +82,8 @@ def cmd_decay(cfg, experiment, outdir: Path) -> list[str]:
     return lines
 
 
-def cmd_scattering(cfg, experiment, outdir: Path) -> list[str]:
-    traj = _run_trajectory(cfg, experiment)
-    analysis = analyze_trajectory(traj, with_asymptotic=False)
-    write_snapshot_csv(outdir / "snapshots.csv", analysis)
+def cmd_scattering(cfg, traj, outdir: Path) -> list[str]:
+    analysis = _analyze(traj, outdir, with_asymptotic=False)
     lines = []
     if analysis.est_u is None:
         return ["[FAIL] scattering: window too short for limit estimation"]
@@ -103,18 +94,14 @@ def cmd_scattering(cfg, experiment, outdir: Path) -> list[str]:
         he = est.fit_h0n.exponent if est.fit_h0n else float("nan")
         lines.append(_line(ok_l, f"{name} limit max-norm rate", f"exponent {le:.4f} <= {SCATTERING_LINF_MAX}"))
         lines.append(_line(ok_h, f"{name} limit weighted rate", f"exponent {he:.4f} <= {SCATTERING_H0N_MAX}"))
-        cauchy = [(t, d) for t, d in est.cauchy if 8.0 <= t <= traj.times[-1] / 2.0]
-        diffs = [d for _, d in cauchy]
+        diffs = [d for t, d in est.cauchy if 8.0 <= t <= traj.times[-1] / 2.0]
         mono = len(diffs) >= 2 and all(b <= a for a, b in zip(diffs, diffs[1:]))
         lines.append(_line(mono, f"{name} dyadic differences", f"{len(diffs)} pairs monotone decreasing"))
-        write_series_csv(
-            outdir / f"cauchy_{name}.csv", "t,dyadic_diff_linf", [(t, d) for t, d in est.cauchy]
-        )
+        write_series_csv(outdir / f"cauchy_{name}.csv", "t,dyadic_diff_linf", est.cauchy)
     return lines
 
 
-def cmd_remainder(cfg, experiment, outdir: Path) -> list[str]:
-    traj = _run_trajectory(cfg, experiment)
+def cmd_remainder(cfg, traj, outdir: Path) -> list[str]:
     report = remainder_decay_fit(traj)
     write_series_csv(
         outdir / "remainder_decay.csv",
@@ -179,10 +166,8 @@ def oracle_cross_check(seed: int, cases: int = 5) -> float:
     return worst
 
 
-def cmd_asymptotic(cfg, experiment, outdir: Path) -> list[str]:
-    traj = _run_trajectory(cfg, experiment)
-    analysis = analyze_trajectory(traj)
-    write_snapshot_csv(outdir / "snapshots.csv", analysis)
+def cmd_asymptotic(cfg, traj, outdir: Path) -> list[str]:
+    analysis = _analyze(traj, outdir)
     if analysis.est_u is None:
         return ["[FAIL] asymptotic: window too short for limit estimation"]
     grid = traj.grid
@@ -224,15 +209,17 @@ def main(argv=None) -> int:
             cfg = replace(cfg, outdir=args.outdir)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
-        experiment = build_experiment(cfg)
+        _, params, u1, v1 = build_experiment(cfg)
+        outdir = Path(cfg.outdir)
+        outdir.mkdir(parents=True, exist_ok=True)
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    outdir = Path(cfg.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     try:
-        lines = _COMMANDS[args.command](cfg, experiment, outdir)
+        schedule = geometric_schedule(cfg.t_end, cfg.schedule_ratio)
+        traj = evolve(PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params)
+        lines = _COMMANDS[args.command](cfg, traj, outdir)
     except Exception as exc:  # numerical / runtime failure
         print(f"runtime error: {exc}", file=sys.stderr)
         return 1

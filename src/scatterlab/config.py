@@ -80,7 +80,10 @@ def _parse_bool(raw: str, key: str) -> bool:
 
 
 def parse_config(path) -> ExperimentConfig:
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
     values: dict[str, object] = {k: d for k, (_, _, d) in _KEYS.items() if d is not _REQUIRED}
     first_line: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -95,28 +95,18 @@ def _fmt(value: float) -> str:
 
 
 def write_snapshot_csv(path, analysis) -> None:
-    """One row per snapshot with the fixed header; floats as shortest
-    round-trip decimals so identical runs emit identical bytes."""
-    lines = [CSV_HEADER]
-    for i, t in enumerate(analysis.times):
-        row = [
-            t,
-            analysis.u_linf[i],
-            analysis.v_linf[i],
-            analysis.wf_diff_linf[i],
-            analysis.wg_diff_linf[i],
-            analysis.wf_diff_h0n[i],
-            analysis.wg_diff_h0n[i],
-            analysis.asym_u[i],
-            analysis.asym_v[i],
-            analysis.u_mass[i],
-            analysis.v_mass[i],
-        ]
-        lines.append(",".join(_fmt(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    """One row per snapshot under the fixed header."""
+    a = analysis
+    columns = (
+        a.times, a.u_linf, a.v_linf, a.wf_diff_linf, a.wg_diff_linf,
+        a.wf_diff_h0n, a.wg_diff_h0n, a.asym_u, a.asym_v, a.u_mass, a.v_mass,
+    )
+    write_series_csv(path, CSV_HEADER, zip(*columns))
 
 
 def write_series_csv(path, header: str, rows: Iterable[Iterable[float]]) -> None:
+    """Floats as shortest round-trip decimals, so identical runs emit
+    identical bytes."""
     lines = [header]
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))

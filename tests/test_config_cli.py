@@ -1,3 +1,4 @@
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -177,20 +178,74 @@ class TestCli:
             cols = row.split(",")
             assert float(cols[1]) == 0.0 and float(cols[2]) == 0.0
 
+    @pytest.mark.parametrize("place", ["existing file", "below a file"])
+    def test_unusable_outdir_exits_2_before_solve(self, tmp_path, capsys, monkeypatch, place):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        outdir = blocker if place == "existing file" else blocker / "out"
+        solves = []
+        monkeypatch.setattr(cli, "evolve", lambda *args: solves.append(args))
+        rc = main(["decay", "--config", str(write_config(tmp_path, GOOD_CONFIG)), "--outdir", str(outdir)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("config error")
+        assert solves == []
+
+    def test_non_utf8_config_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_bytes(b"grid.L = 480\xff\n")
+        rc = main(["decay", "--config", str(path), "--outdir", str(tmp_path / "out")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "position 12" in err
+
     def test_experiment_built_once(self, tmp_path, monkeypatch):
         path = write_config(tmp_path, GOOD_CONFIG.replace("grid.N = 4096", "grid.N = 1024"))
-        built = []
+        built, solves, analyses = [], [], []
 
-        def counting(cfg):
-            built.append(cfg)
-            return sl.build_experiment(cfg)
+        def counted(calls, fn):
+            def call(*args, **kwargs):
+                calls.append(args)
+                return fn(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "build_experiment", counting)
-        for command in ("simulate", "decay", "asymptotic"):
-            built.clear()
+            return call
+
+        monkeypatch.setattr(cli, "build_experiment", counted(built, cli.build_experiment))
+        monkeypatch.setattr(cli, "evolve", counted(solves, cli.evolve))
+        monkeypatch.setattr(cli, "analyze_trajectory", counted(analyses, cli.analyze_trajectory))
+        for command in cli._COMMANDS:
+            for calls in (built, solves, analyses):
+                calls.clear()
             rc = main([command, "--config", str(path), "--outdir", str(tmp_path / command)])
             assert rc == 0, command
             assert len(built) == 1
+            assert len(solves) == 1, command
+            assert len(analyses) == (0 if command == "remainder" else 1), command
+
+    def test_verdicts_share_one_solve(self, tmp_path, monkeypatch):
+        # every verdict run in turn on one solve writes what its own CLI run
+        # writes, so no command changes the trajectory it is given
+        quick = str(CONFIGS / "quick.cfg")
+        solved = []
+        real_evolve = cli.evolve
+
+        def keeping(*args):
+            solved.append(real_evolve(*args))
+            return solved[-1]
+
+        monkeypatch.setattr(cli, "evolve", keeping)
+        expected = {}
+        for name in cli._COMMANDS:
+            out = tmp_path / "main" / name
+            main([name, "--config", quick, "--outdir", str(out), "--seed", "5"])
+            expected[name] = {p.name: p.read_bytes() for p in out.iterdir()}
+        traj = solved[0]
+        cfg = replace(sl.parse_config(quick), seed=5)
+        for name, verdict in cli._COMMANDS.items():
+            out = tmp_path / "shared" / name
+            out.mkdir(parents=True)
+            report = ("\n".join(verdict(cfg, traj, out)) + "\n").encode()
+            assert report == expected[name].pop(f"{name}_report.txt"), name
+            assert {p.name: p.read_bytes() for p in out.iterdir()} == expected[name], name
 
     def test_decay_command_passes_and_writes_report(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG)
