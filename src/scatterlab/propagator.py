@@ -121,9 +121,7 @@ def _bluestein_plan(
     worker = pool.submit(_kernel_hat, buf, theta / 2, square, n, m, -np.longdouble(dx) * np.longdouble(xi0))
     chirp = _unit_phase(-theta / 2, square)
     ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), np.arange(m)) * np.exp(-1j * x0 * xi0)
-    # times a fresh array, as ray * _unit_phase(-theta / 2, k * k) is: numpy
-    # then reuses large temporaries in place, which fixes the operand order
-    out_phase = ray * chirp[:m].copy()
+    out_phase = ray * chirp[:m]
     kernel_hat, shift = worker.result()
     plan = _BluesteinPlan(kernel_hat=kernel_hat, shift=shift, chirp=chirp[:n], out_phase=out_phase)
     for arr in plan:

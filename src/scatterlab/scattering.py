@@ -26,7 +26,6 @@ from .spectral import (
     ComplexField,
     Grid1D,
     _cis,
-    _times_temporary,
     _two_lanes,
     fourier_inverse,
     norm_H0n,
@@ -97,9 +96,9 @@ def _phase_correction(integral: np.ndarray) -> np.ndarray:
 
 def _correct(rows, integrals: np.ndarray) -> None:
     """rows[m] times the phase correction of integrals[m], in place and
-    bitwise numpy's rows[m] * np.exp(1j * c * integrals[m])."""
+    bitwise np.multiply(rows[m], np.exp(1j * c * integrals[m]))."""
     for row, integral in zip(rows, integrals):
-        _times_temporary(row, _phase_correction(integral), row)
+        row *= _phase_correction(integral)
 
 
 def corrected_spectra(traj: Trajectory):
@@ -142,8 +141,7 @@ def reduced_ode_residual(traj: Trajectory, m: int, w_f, acc_v: PhaseAccumulator)
     ) / (h_minus * h_plus * (h_minus + h_plus))
     pair = profile_spectra(traj.snapshots[m : m + 1])[0]
     inp = TrilinearInput(*(ComplexField(traj.grid, row, SPECTRAL) for row in pair), t_mid)
-    # the factor is the left temporary: numpy keeps (factor, R) at every size
-    rhs = _phase_correction(acc_v.values[m]) * remainder_physical(inp).samples
+    rhs = np.multiply(_phase_correction(acc_v.values[m]), remainder_physical(inp).samples)
     diff = ComplexField(traj.grid, deriv - rhs, SPECTRAL)
     return norm_L2(diff)
 

@@ -24,7 +24,6 @@ from .spectral import (
     ComplexField,
     Grid1D,
     _cis,
-    _times_temporary,
     fft,
     fourier_forward,
     fourier_inverse,
@@ -89,6 +88,8 @@ class Trajectory:
         times = self.times
         if len(times) == 0:
             raise ValueError("trajectory needs at least one snapshot")
+        if not np.all(np.isfinite(times)):
+            raise ValueError("snapshot times must be finite")
         if abs(times[0] - 1.0) > 1e-9:
             raise ValueError("first snapshot must sit at t = 1")
         if np.any(np.diff(times) <= 0):
@@ -120,10 +121,10 @@ def _rotate(
     """Potential flow of a field (or of each row of a block) over time h
     under the other's frozen modulus m_other = |other|^2, written into out,
     with angle as scratch for -h * m_other.  Bitwise
-    a * np.exp(-1j * h * m_other), row by row, but for the sign of zero
-    parts of a where m_other = 0 (the sine of -0.0 is -0.0)."""
+    np.multiply(a, np.exp(-1j * h * m_other)) but for the sign of zero parts
+    of a where m_other = 0 (the sine of -0.0 is -0.0)."""
     np.multiply(m_other, -h, out=angle)
-    return _times_temporary(a, _cis(angle, out), out)
+    return np.multiply(a, _cis(angle, out), out=out)
 
 
 def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[float]):

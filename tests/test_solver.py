@@ -50,8 +50,8 @@ def sequential_steps(u, v, grid, steps):
         v = np.fft.ifft(np.fft.fft(v) * mult)
         mu = np.abs(u) ** 2
         mv = np.abs(v) ** 2
-        u = u * np.exp(-1j * h * mv)
-        v = v * np.exp(-1j * h * mu)
+        u = np.multiply(u, np.exp(-1j * h * mv))
+        v = np.multiply(v, np.exp(-1j * h * mu))
         prev = h
     u = np.fft.ifft(np.fft.fft(u) * half(prev))
     v = np.fft.ifft(np.fft.fft(v) * half(prev))
@@ -106,8 +106,6 @@ def bits(a):
 
 
 class TestRotate:
-    # numpy elides temporaries of 256 KiB and more (16384 complex points),
-    # which changes the operand order of a complex product; sizes straddle it
     @settings(max_examples=60, deadline=None)
     @given(
         n=st.sampled_from([16383, 16384, 16385]),
@@ -121,12 +119,10 @@ class TestRotate:
         m[::5] = 0.0
         m[1::5] = rng.random(m[1::5].size) * np.finfo(float).tiny  # subnormal
         a = rng.normal(size=n) + 1j * rng.normal(size=n)
-        want = a * np.exp(-1j * h * m)
+        want = np.multiply(a, np.exp(-1j * h * m))
         assert np.array_equal(bits(rotate(a, h, m)), bits(want))
 
-    # the kernel rotates u and v as one (2, n) block by the swapped moduli;
-    # the operand order follows one row's size, so a block of two 8192-point
-    # rows (256 KiB in all) still multiplies field first
+    # the kernel rotates u and v as one (2, n) block by the swapped moduli
     @pytest.mark.parametrize("n", [8192, 16384])
     def test_block_bitwise_per_row_complex_exp(self, n):
         rng = np.random.default_rng(n)
@@ -136,7 +132,7 @@ class TestRotate:
         h = 0.05
         got = rotate(block, h, moduli[::-1])
         for row, a, m_other in zip(got, block, moduli[::-1]):
-            want = a * np.exp(-1j * h * m_other)  # outside the assert, which pytest rewrites
+            want = np.multiply(a, np.exp(-1j * h * m_other))
             assert np.array_equal(bits(row), bits(want))
 
 
@@ -278,8 +274,6 @@ STEP_LISTS = st.builds(
 
 
 class TestThreadedKernel:
-    # 2^13 and 2^14 straddle numpy's temporary-elision size, where the
-    # rotation switches its operand order
     @pytest.mark.parametrize(
         "N, L",
         [(256, 80.0), (4096, 400.0), (2**13, 800.0), (2**14, 1600.0), (2**15, 2400.0), (2**18, 2400.0)],

@@ -188,7 +188,6 @@ class TestTwoLanes:
 
 
 class TestCis:
-    # numpy elides temporaries from 16384 complex points on; sizes straddle it
     @pytest.mark.parametrize("n", [1000, 16383, 16385])
     def test_bitwise_complex_exp(self, n):
         rng = np.random.default_rng(n)

@@ -24,14 +24,20 @@ HEADER_FIELDS = ("magic", "N", "L", "count", "alpha", "delta", "beta", "nu", "n"
 
 
 def write_with_header(path, body_bytes=None, **changes):
-    """The tiny trajectory's header with some fields changed, over a zero body
-    whose length matches the changed N and count unless body_bytes is given."""
+    """The tiny trajectory's header with some fields changed, over its own
+    snapshots while N and count are unchanged, else over a zero body whose
+    length matches them, unless body_bytes is given."""
     sl.save_trajectory(tiny_trajectory(), path)
-    fields = dict(zip(HEADER_FIELDS, _HEADER.unpack_from(path.read_bytes())))
+    raw = path.read_bytes()
+    fields = dict(zip(HEADER_FIELDS, _HEADER.unpack_from(raw)))
     fields.update(changes)
-    if body_bytes is None:
-        body_bytes = fields["count"] * (8 + 2 * 16 * fields["N"])
-    path.write_bytes(_HEADER.pack(*fields.values()) + bytes(body_bytes))
+    size = fields["count"] * (8 + 2 * 16 * fields["N"])
+    body = raw[_HEADER.size :]
+    if body_bytes is not None:
+        body = bytes(body_bytes)
+    elif len(body) != size:
+        body = bytes(size)
+    path.write_bytes(_HEADER.pack(*fields.values()) + body)
 
 
 class TestBinaryFormat:
@@ -95,14 +101,25 @@ class TestBinaryFormat:
 
     @pytest.mark.parametrize(
         "changes",
-        [{"N": 15}, {"L": float("nan")}, {"alpha": 0.1}, {"count": 0}],
-        ids=["odd_N", "nan_L", "alpha_outside_window", "count_zero"],
+        [{"N": 15}, {"L": float("nan")}, {"alpha": 0.1}, {"count": 0}, {"epsilon": float("nan")}],
+        ids=["odd_N", "nan_L", "alpha_outside_window", "count_zero", "nan_epsilon"],
     )
     def test_invalid_header_value_is_format_error(self, tmp_path, changes):
         path = tmp_path / "bad.bin"
         write_with_header(path, **changes)
         with pytest.raises(FormatError):
             sl.load_trajectory(path)
+
+    def test_nonfinite_snapshot_time_is_format_error(self, tmp_path):
+        # comparisons with NaN are false, so ordering checks alone let it by
+        path = tmp_path / "bad.bin"
+        for index, t in ((0, float("nan")), (1, float("nan")), (2, float("inf"))):
+            sl.save_trajectory(tiny_trajectory(), path)
+            raw = bytearray(path.read_bytes())
+            struct.pack_into("<d", raw, _HEADER.size + index * (8 + 2 * 16 * 16), t)
+            path.write_bytes(raw)
+            with pytest.raises(FormatError, match="finite"):
+                sl.load_trajectory(path)
 
 
 class TestCsv:
