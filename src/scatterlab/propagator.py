@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.fft import next_fast_len
+from numpy.fft import fft, ifft
 
 from .spectral import (
     PHYSICAL,
@@ -18,10 +18,9 @@ from .spectral import (
     ComplexField,
     Grid1D,
     _cis,
-    fft,
     fourier_forward,
     fourier_inverse,
-    ifft,
+    next_fast_len,
     require_same_grid,
     to_physical,
 )
@@ -101,7 +100,7 @@ def _kernel_hat(
     buf[: n - 1] = half[n - 1 : 0 : -1]
     buf[n - 1 : n - 1 + m] = half[:m]
     del half  # before the transform's scratch: the worker's arena keeps its peak
-    kernel_hat = fft(buf, overwrite_x=True)
+    kernel_hat = fft(buf, out=buf)
     # after the transform: the table reuses its arena's memory, adding no peak
     return kernel_hat, _unit_phase(shift_scale, np.arange(n))
 
@@ -137,9 +136,9 @@ def _apply_plan(plan: _BluesteinPlan, samples: list, buf: np.ndarray, rows: list
         np.multiply(phi, plan.shift, out=buf[:n])
         np.multiply(buf[:n], plan.chirp, out=buf[:n])
         buf[n:] = 0
-        conv = fft(buf, overwrite_x=True)
+        conv = fft(buf, out=buf)
         conv *= plan.kernel_hat
-        conv = ifft(conv, overwrite_x=True)
+        conv = ifft(conv, out=conv)
         np.multiply(plan.out_phase, conv[n - 1 : n - 1 + row.size], out=row)
         # in place: a real factor rounds each part once, as scale * row does
         row *= scale

@@ -15,7 +15,7 @@ from functools import cache
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import fftfreq, next_fast_len
+from numpy.fft import fft, fftfreq, ifft
 
 from .spectral import (
     PHYSICAL,
@@ -24,10 +24,9 @@ from .spectral import (
     ComplexField,
     Grid1D,
     _cis,
-    fft,
     fourier_forward,
     fourier_inverse,
-    ifft,
+    next_fast_len,
     norm_L2,
     require_same_grid,
 )
@@ -160,9 +159,9 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
     for k, mult in enumerate(mults):
         if k:
             f = _rotate(f, steps[k - 1], moduli[::-1], work[k % 2], angle)
-        f = fft(f, overwrite_x=True)
+        f = fft(f, out=f)
         f *= mult
-        f = ifft(f, overwrite_x=True)
+        f = ifft(f, out=f)
         if k < len(steps):
             np.square(np.abs(f, out=moduli), out=moduli)
     return f[0], f[1]
@@ -219,7 +218,7 @@ def _solve_size(spectra: Sequence[np.ndarray], grid: Grid1D) -> int:
     L xi_max / pi is 2k.
     """
     k = round(max(_extent(s, grid.xi) for s in spectra) / grid.dxi)
-    return min(grid.N, max(8, 2 * next_fast_len(max(1, 2 * k))))
+    return min(grid.N, max(8, 2 * next_fast_len(2 * k)))
 
 
 def _resample(spectrum: np.ndarray, grid: Grid1D) -> np.ndarray:

@@ -20,18 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.fft import fftshift, ifftshift
-
-# The package's one FFT entry point, `fft`/`ifft` below, calls pocketfft's
-# c2c as scipy.fft.fft/ifft do on complex input (bitwise numpy's FFT;
-# scipy's real-input path differs by round-off) without scipy's Python
-# dispatch, which the stepping kernel would pay on each of its two
-# transforms per step: at the 756 points of quick.cfg's solve grid a step
-# took 55-90 us through this binding, 69-99 us through scipy.fft and
-# 89-106 us through np.fft with out= (2-vCPU VM).  It is the package's one
-# private scipy dependency, checked only against scipy 1.17.1; a scipy
-# without it fails here, at import, with no fallback path.
-from scipy.fft._pocketfft.pypocketfft import c2c as _c2c
+from numpy.fft import fft, fftshift, ifft, ifftshift
 
 PHYSICAL = "physical"
 SPECTRAL = "spectral"
@@ -43,18 +32,18 @@ _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _ROUNDOFF = 1e-12
 
 
-def fft(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Unnormalized forward DFT of a complex array along its last axis,
-    bitwise scipy.fft.fft(x, overwrite_x=overwrite_x): into x itself when
-    overwrite_x, else into a new array without writing x, which may then be
-    read-only."""
-    return _c2c(x, (-1,), True, 0, x if overwrite_x else None, 1)
-
-
-def ifft(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
-    """Inverse DFT (scaled by 1/N) of a complex array along its last axis,
-    bitwise scipy.fft.ifft(x, overwrite_x=overwrite_x), in place as fft is."""
-    return _c2c(x, (-1,), False, 2, x if overwrite_x else None, 1)
+def next_fast_len(target: int) -> int:
+    """The smallest n >= max(target, 1) whose prime factors are all at most
+    11: a length the FFT transforms without a slow prime pass."""
+    n = max(target, 1)
+    while True:
+        m = n
+        for p in (2, 3, 5, 7, 11):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return n
+        n += 1
 
 
 class SideMismatchError(ValueError):

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -165,18 +168,33 @@ class TestCli:
         rc = main(["decay", "--config", str(tmp_path / "nope.cfg")])
         assert rc == 2
 
-    def test_zero_data_simulate(self, tmp_path, capsys):
-        cfg = GOOD_CONFIG.replace("data.epsilon = 0.1", "data.epsilon = 0.0").replace(
-            "grid.N = 4096", "grid.N = 256"
-        )
-        path = write_config(tmp_path, cfg)
+    @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+    def test_zero_data_is_vacuous(self, tmp_path, capsys, command):
+        # epsilon = 0 is a valid config; the zero solve steps on 8 points
+        path = write_config(tmp_path, GOOD_CONFIG.replace("data.epsilon = 0.1", "data.epsilon = 0.0"))
         out = tmp_path / "out"
-        rc = main(["simulate", "--config", str(path), "--outdir", str(out)])
+        rc = main([command, "--config", str(path), "--outdir", str(out)])
         assert rc == 0
-        rows = (out / "snapshots.csv").read_text().splitlines()[1:]
-        for row in rows:
-            cols = row.split(",")
-            assert float(cols[1]) == 0.0 and float(cols[2]) == 0.0
+        if command in ("decay", "scattering", "asymptotic"):
+            assert capsys.readouterr().out == f"[PASS] {command}: vacuous (zero data)\n"
+        if command != "remainder":
+            rows = (out / "snapshots.csv").read_text().splitlines()[1:]
+            for row in rows:
+                cols = row.split(",")
+                assert float(cols[1]) == 0.0 and float(cols[2]) == 0.0
+
+    def test_no_scipy_at_run_time(self, tmp_path):
+        # a fresh interpreter, so that no test's import of scipy is counted
+        path = write_config(tmp_path, GOOD_CONFIG.replace("grid.N = 4096", "grid.N = 1024"))
+        script = (
+            "import sys\n"
+            "from scatterlab.cli import main\n"
+            f"rc = main(['decay', '--config', {str(path)!r}, '--outdir', {str(tmp_path / 'out')!r}])\n"
+            "print(rc, sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.splitlines()[-1] == "0 []"
 
     @pytest.mark.parametrize("place", ["existing file", "below a file"])
     def test_unusable_outdir_exits_2_before_solve(self, tmp_path, capsys, monkeypatch, place):

@@ -9,7 +9,8 @@ import tracemalloc
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
-from scipy.fft import fft, ifft, next_fast_len
+from numpy.fft import fft, ifft
+from scipy.fft import next_fast_len
 
 import scatterlab.propagator as propagator
 from scatterlab.propagator import FrequencyRangeError, _bluestein_plan, _unit_phase

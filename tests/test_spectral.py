@@ -32,9 +32,9 @@ class TestGrid:
 
 
 class TestTransformBinding:
-    # 786432 is the N = 2^18 replay's Bluestein convolution length, and
+    # 524288 is the N = 2^18 replay's Bluestein convolution length, and
     # 15015 = 3*5*7*11*13 takes pocketfft's odd-factor passes
-    @pytest.mark.parametrize("n", [8, 4096, 2**15, 786432, 15015])
+    @pytest.mark.parametrize("n", [8, 4096, 2**15, 524288, 786432, 15015])
     @pytest.mark.parametrize("name", ["fft", "ifft"])
     def test_bitwise_scipy(self, name, n):
         rng = np.random.default_rng(n)
@@ -49,7 +49,7 @@ class TestTransformBinding:
         assert a.tobytes() == kept.tobytes()
 
         buf = a.copy()
-        out = binding(buf, overwrite_x=True)
+        out = binding(buf, out=buf)
         assert out is buf
         assert out.tobytes() == reference(a.copy(), overwrite_x=True).tobytes()
 
@@ -62,15 +62,27 @@ class TestTransformBinding:
         block = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
         binding = getattr(spectral, name)
         want = [binding(row) for row in block]
-        out = binding(block, overwrite_x=True)
+        out = binding(block, out=block)
         assert out is block
         for got, row in zip(out, want):
             assert got.tobytes() == row.tobytes()
 
     def test_only_entry_point(self):
-        for module in (solver, propagator):
-            assert module.fft is spectral.fft
-            assert module.ifft is spectral.ifft
+        for module in (spectral, solver, propagator):
+            assert module.fft is np.fft.fft
+            assert module.ifft is np.fft.ifft
+
+
+class TestNextFastLen:
+    def test_equals_scipy(self):
+        targets = range(1, 20001)
+        assert [spectral.next_fast_len(t) for t in targets] == [scipy.fft.next_fast_len(t) for t in targets]
+
+    # 1920 is half the reference solve grid's 3840 points, 524287 the N = 2^18
+    # replay's Bluestein span 2N - 1, and 786432 a transform size above
+    @pytest.mark.parametrize("target, want", [(0, 1), (1920, 1920), (524287, 524288), (786431, 786432)])
+    def test_known_lengths(self, target, want):
+        assert spectral.next_fast_len(target) == want
 
 
 # names through which a module could start a thread of its own
