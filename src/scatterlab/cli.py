@@ -51,9 +51,10 @@ def _analyze(traj, outdir: Path, with_asymptotic: bool = True):
     return analysis
 
 
-def _zero_data(analysis) -> bool:
-    """Both fields vanish at every snapshot, so every rate verdict is vacuous."""
-    return np.max(analysis.u_linf) == 0.0 and np.max(analysis.v_linf) == 0.0
+def _zero_data(analysis) -> dict[str, bool]:
+    """Per field, whether it vanishes at every snapshot: its rate verdicts are
+    then vacuous, and with both fields zero the whole command is."""
+    return {"u": np.max(analysis.u_linf) == 0.0, "v": np.max(analysis.v_linf) == 0.0}
 
 
 def cmd_simulate(cfg, traj, outdir: Path) -> list[str]:
@@ -72,39 +73,47 @@ def cmd_simulate(cfg, traj, outdir: Path) -> list[str]:
 
 def cmd_decay(cfg, traj, outdir: Path) -> list[str]:
     analysis = _analyze(traj, outdir, with_asymptotic=False)
-    if _zero_data(analysis):
+    zero = _zero_data(analysis)
+    if all(zero.values()):
         return ["[PASS] decay: vacuous (zero data)"]
     # dispersive decay only sets in past t ~ width^2; fit from t = 10 on
     mask = analysis.times >= max(10.0, cfg.t_end / 20.0) * (1 - 1e-12)
     times = analysis.times[mask]
     lines = []
     for name, series in (("u", analysis.u_linf[mask]), ("v", analysis.v_linf[mask])):
+        label = f"max-norm decay of {name}"
+        if zero[name]:
+            lines.append(_line(True, label, "vacuous (zero field)"))
+            continue
         fit = fit_rate(times, series)
         ok = DECAY_BAND[0] <= fit.exponent <= DECAY_BAND[1]
-        lines.append(
-            _line(ok, f"max-norm decay of {name}", f"exponent {fit.exponent:.4f} in [{DECAY_BAND[0]}, {DECAY_BAND[1]}]")
-        )
+        lines.append(_line(ok, label, f"exponent {fit.exponent:.4f} in [{DECAY_BAND[0]}, {DECAY_BAND[1]}]"))
     return lines
 
 
 def cmd_scattering(cfg, traj, outdir: Path) -> list[str]:
     analysis = _analyze(traj, outdir, with_asymptotic=False)
-    if _zero_data(analysis):
+    zero = _zero_data(analysis)
+    if all(zero.values()):
         return ["[PASS] scattering: vacuous (zero data)"]
     lines = []
     if analysis.est_u is None:
         return ["[FAIL] scattering: window too short for limit estimation"]
     for name, est in (("u", analysis.est_u), ("v", analysis.est_v)):
+        write_series_csv(outdir / f"cauchy_{name}.csv", "t,dyadic_diff_linf", est.cauchy)
+        labels = (f"{name} limit max-norm rate", f"{name} limit weighted rate", f"{name} dyadic differences")
+        if zero[name]:
+            lines.extend(_line(True, label, "vacuous (zero field)") for label in labels)
+            continue
         ok_l = est.fit_linf is not None and est.fit_linf.exponent <= SCATTERING_LINF_MAX
         ok_h = est.fit_h0n is not None and est.fit_h0n.exponent <= SCATTERING_H0N_MAX
         le = est.fit_linf.exponent if est.fit_linf else float("nan")
         he = est.fit_h0n.exponent if est.fit_h0n else float("nan")
-        lines.append(_line(ok_l, f"{name} limit max-norm rate", f"exponent {le:.4f} <= {SCATTERING_LINF_MAX}"))
-        lines.append(_line(ok_h, f"{name} limit weighted rate", f"exponent {he:.4f} <= {SCATTERING_H0N_MAX}"))
+        lines.append(_line(ok_l, labels[0], f"exponent {le:.4f} <= {SCATTERING_LINF_MAX}"))
+        lines.append(_line(ok_h, labels[1], f"exponent {he:.4f} <= {SCATTERING_H0N_MAX}"))
         diffs = [d for t, d in est.cauchy if 8.0 <= t <= traj.times[-1] / 2.0]
         mono = len(diffs) >= 2 and all(b <= a for a, b in zip(diffs, diffs[1:]))
-        lines.append(_line(mono, f"{name} dyadic differences", f"{len(diffs)} pairs monotone decreasing"))
-        write_series_csv(outdir / f"cauchy_{name}.csv", "t,dyadic_diff_linf", est.cauchy)
+        lines.append(_line(mono, labels[2], f"{len(diffs)} pairs monotone decreasing"))
     return lines
 
 
@@ -175,7 +184,8 @@ def oracle_cross_check(seed: int, cases: int = 5) -> float:
 
 def cmd_asymptotic(cfg, traj, outdir: Path) -> list[str]:
     analysis = _analyze(traj, outdir)
-    if _zero_data(analysis):
+    zero = _zero_data(analysis)
+    if all(zero.values()):
         return ["[PASS] asymptotic: vacuous (zero data)"]
     if analysis.est_u is None:
         return ["[FAIL] asymptotic: window too short for limit estimation"]
@@ -183,15 +193,16 @@ def cmd_asymptotic(cfg, traj, outdir: Path) -> list[str]:
     t_lo = max(cfg.t_end / 16.0, 1.05 * grid.L**2 / (4.0 * np.pi * grid.N))
     lines = []
     for name, series in (("u", analysis.asym_u), ("v", analysis.asym_v)):
+        label = f"{name} asymptotic residual"
         mask = (analysis.times >= t_lo) & np.isfinite(series)
-        if np.count_nonzero(mask) < 4:
-            lines.append(_line(False, f"{name} asymptotic residual", "fewer than 4 usable snapshots"))
-            continue
-        fit = fit_rate(analysis.times[mask], series[mask])
-        ok = fit.exponent <= ASYMPTOTIC_SLOPE_MAX
-        lines.append(
-            _line(ok, f"{name} asymptotic residual", f"exponent {fit.exponent:.4f} <= {ASYMPTOTIC_SLOPE_MAX}")
-        )
+        if zero[name]:
+            lines.append(_line(True, label, "vacuous (zero field)"))
+        elif np.count_nonzero(mask) < 4:
+            lines.append(_line(False, label, "fewer than 4 usable snapshots"))
+        else:
+            fit = fit_rate(analysis.times[mask], series[mask])
+            ok = fit.exponent <= ASYMPTOTIC_SLOPE_MAX
+            lines.append(_line(ok, label, f"exponent {fit.exponent:.4f} <= {ASYMPTOTIC_SLOPE_MAX}"))
     return lines
 
 

@@ -5,7 +5,6 @@ remainder split of the dispersive decay estimate.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -18,6 +17,7 @@ from .spectral import (
     ComplexField,
     Grid1D,
     _cis,
+    _two_lanes,
     fourier_forward,
     fourier_inverse,
     next_fast_len,
@@ -78,70 +78,62 @@ def _unit_phase(scale: np.longdouble, index: np.ndarray) -> np.ndarray:
     return _cis(np.mod(angle, _TWO_PI_LD, out=angle).astype(np.float64))
 
 
+def _linear_phase(scale: np.longdouble, count: int) -> np.ndarray:
+    """e^{i * scale * k} for k = 0 .. count-1, as the outer product of two
+    _unit_phase tables of about sqrt(count) entries: k = a*block + b takes
+    the coarse phase of a*block times the fine phase of b, so each entry is
+    within a few ulp of _unit_phase(scale, arange(count))."""
+    block = int(np.ceil(np.sqrt(count)))
+    coarse = _unit_phase(scale, np.arange(0, count, block))
+    return np.multiply.outer(coarse, _unit_phase(scale, np.arange(block))).ravel()[:count]
+
+
 class _BluesteinPlan(NamedTuple):
     """Everything of a chirp transform that depends only on the ray geometry,
     with theta = dx * dxi; the arrays are read-only because one plan serves
     every field of a call."""
 
     kernel_hat: np.ndarray  # FFT of the chirp e^{i theta s^2 / 2}, s = 1-n .. m-1
-    shift: np.ndarray  # e^{-i dx xi0 j}
-    chirp: np.ndarray  # e^{-i theta j^2 / 2}
-    out_phase: np.ndarray  # e^{-i x0 xi_k} e^{-i theta k^2 / 2}
+    in_phase: np.ndarray  # e^{-i dx xi0 j} e^{-i theta j^2 / 2}
+    out_phase: np.ndarray  # (dx / sqrt(2 pi)) e^{-i x0 xi_k} e^{-i theta k^2 / 2}
 
 
-def _kernel_hat(
-    buf: np.ndarray, half_theta: np.longdouble, square: np.ndarray, n: int, m: int, shift_scale: np.longdouble
-) -> tuple[np.ndarray, np.ndarray]:
-    """The worker's share of a plan: the chirp e^{i theta s^2 / 2} over
-    s = 1-n .. m-1, written into the zeroed buffer and transformed in place,
-    then the source shift e^{-i dx xi0 j} (shift_scale = -dx * xi0)."""
-    # the chirp depends on |s| only: it is tabulated once over 0 .. max(n, m)-1
-    half = _unit_phase(half_theta, square)
-    buf[: n - 1] = half[n - 1 : 0 : -1]
-    buf[n - 1 : n - 1 + m] = half[:m]
-    del half  # before the transform's scratch: the worker's arena keeps its peak
-    kernel_hat = fft(buf, out=buf)
-    # after the transform: the table reuses its arena's memory, adding no peak
-    return kernel_hat, _unit_phase(shift_scale, np.arange(n))
-
-
-def _bluestein_plan(
-    pool: ThreadPoolExecutor, n: int, x0: float, dx: float, xi0: float, dxi: float, m: int
-) -> _BluesteinPlan:
+def _bluestein_plan(n: int, x0: float, dx: float, xi0: float, dxi: float, m: int) -> _BluesteinPlan:
     """Chirps for n sources x_j = x0 + j*dx and m targets xi_k = xi0 + k*dxi.
-    The pool's worker builds kernel_hat and then shift while this thread
-    builds chirp and out_phase: each lane tabulates two of the four unit
-    phases.  The convolution has the fast length L >= n + m - 1, the
+    The chirp depends on |s| only, so one quadratic table over
+    0 .. max(n, m)-1 gives the kernel and, conjugated, the source and target
+    chirps.  The convolution has the fast length L >= n + m - 1, the
     kernel's span: output p sums phi_j kernel[(p - j) mod L], and for the
     kept p = n-1 .. n+m-2 every p - j lies in 0 .. n+m-2, so none wraps."""
-    theta = np.longdouble(dx) * np.longdouble(dxi)
-    square = np.arange(max(n, m)) ** 2
+    ld = np.longdouble
+    half = _unit_phase(ld(dx) * ld(dxi) / 2, np.arange(max(n, m)) ** 2)
     buf = np.zeros(next_fast_len(n + m - 1), dtype=np.complex128)
-    worker = pool.submit(_kernel_hat, buf, theta / 2, square, n, m, -np.longdouble(dx) * np.longdouble(xi0))
-    chirp = _unit_phase(-theta / 2, square)
-    ray = _unit_phase(-np.longdouble(x0) * np.longdouble(dxi), np.arange(m)) * np.exp(-1j * x0 * xi0)
-    out_phase = ray * chirp[:m]
-    kernel_hat, shift = worker.result()
-    plan = _BluesteinPlan(kernel_hat=kernel_hat, shift=shift, chirp=chirp[:n], out_phase=out_phase)
+    buf[: n - 1] = half[n - 1 : 0 : -1]
+    buf[n - 1 : n - 1 + m] = half[:m]
+    kernel_hat = fft(buf, out=buf)
+    chirp = np.conjugate(half, out=half)
+    in_phase = _linear_phase(-ld(dx) * ld(xi0), n)
+    in_phase *= chirp[:n]
+    out_phase = _linear_phase(-ld(x0) * ld(dxi), m)
+    out_phase *= chirp[:m]
+    out_phase *= (dx / _SQRT_2PI) * np.exp(-1j * x0 * xi0)
+    plan = _BluesteinPlan(kernel_hat=kernel_hat, in_phase=in_phase, out_phase=out_phase)
     for arr in plan:
         arr.flags.writeable = False
     return plan
 
 
-def _apply_plan(plan: _BluesteinPlan, samples: list, buf: np.ndarray, rows: list, scale: float) -> None:
-    """Write each phi's row, scale * out_phase * ifft(fft(phi * shift * chirp,
-    L) * kernel_hat)[n-1 : n-1+m], into rows; the transforms overwrite buf."""
-    n = plan.chirp.size
+def _apply_plan(plan: _BluesteinPlan, samples: list, buf: np.ndarray, rows: list) -> None:
+    """Write each phi's row, out_phase * ifft(fft(phi * in_phase, L) *
+    kernel_hat)[n-1 : n-1+m], into rows; the transforms overwrite buf."""
+    n = plan.in_phase.size
     for phi, row in zip(samples, rows):
-        np.multiply(phi, plan.shift, out=buf[:n])
-        np.multiply(buf[:n], plan.chirp, out=buf[:n])
+        np.multiply(phi, plan.in_phase, out=buf[:n])
         buf[n:] = 0
         conv = fft(buf, out=buf)
         conv *= plan.kernel_hat
         conv = ifft(conv, out=conv)
         np.multiply(plan.out_phase, conv[n - 1 : n - 1 + row.size], out=row)
-        # in place: a real factor rounds each part once, as scale * row does
-        row *= scale
 
 
 def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.ndarray]:
@@ -156,12 +148,10 @@ def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.
     The plan evaluates at xi_k = xi[0] + k*dxi with dxi taken from the end
     points; targets that drift from those points by more than 8 ulp of
     max|xi| (linspace targets and grid rays stay within 3) raise ValueError.
-    Two lanes share the call: this thread and one worker that lives only for
-    the call.  The worker transforms the kernel and tabulates the source
-    shift while this thread tabulates the source chirp and the output phase;
-    then the rows alternate between the lanes, each lane in its own buffer.
-    Buffers and rows are allocated on this thread: glibc gives the worker a
-    malloc arena of its own, which cannot reuse memory freed here.
+    This thread builds the plan; then the rows alternate between the two
+    lanes of spectral._two_lanes, each lane in its own buffer.  Buffers and
+    rows are allocated on this thread: glibc gives the worker a malloc arena
+    of its own, which cannot reuse memory freed here.
     """
     fields = list(fields)
     xi = np.atleast_1d(np.asarray(targets, dtype=float))
@@ -174,15 +164,11 @@ def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.
     drift = np.max(np.abs(xi - (xi[0] + np.arange(xi.size) * dxi)))
     if not drift <= 8 * np.spacing(np.max(np.abs(xi))):  # NaN targets fail too
         raise ValueError("spectrum_at requires uniformly spaced targets")
-    scale = g.dx / _SQRT_2PI
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="scatterlab-lane") as pool:
-        plan = _bluestein_plan(pool, g.N, float(g.x[0]), g.dx, float(xi[0]), dxi, xi.size)
-        # one buffer per busy lane: a single field leaves the worker idle
-        bufs = [np.empty_like(plan.kernel_hat) for _ in samples[:2]]
-        rows = [np.empty(xi.size, dtype=np.complex128) for _ in samples]
-        other = pool.submit(_apply_plan, plan, samples[1::2], bufs[-1], rows[1::2], scale)
-        _apply_plan(plan, samples[::2], bufs[0], rows[::2], scale)
-        other.result()
+    plan = _bluestein_plan(g.N, float(g.x[0]), g.dx, float(xi[0]), dxi, xi.size)
+    # one buffer per busy lane: a single field leaves the worker idle
+    bufs = [np.empty_like(plan.kernel_hat) for _ in samples[:2]]
+    rows = [np.empty(xi.size, dtype=np.complex128) for _ in samples]
+    _two_lanes(_apply_plan, (plan, samples[::2], bufs[0], rows[::2]), (plan, samples[1::2], bufs[-1], rows[1::2]))
     return rows
 
 

@@ -89,14 +89,12 @@ def _accumulate(times: np.ndarray, rows, values: np.ndarray) -> float:
 
 def _phase_correction(integral: np.ndarray) -> np.ndarray:
     """exp(i c integral), c = RESONANT_COEFF, from cos and sin of the real
-    angle: bitwise np.exp(1j * c * integral), as a phase integral is never
-    -0.0."""
+    angle (spectral._cis)."""
     return _cis(RESONANT_COEFF * integral)
 
 
 def _correct(rows, integrals: np.ndarray) -> None:
-    """rows[m] times the phase correction of integrals[m], in place and
-    bitwise np.multiply(rows[m], np.exp(1j * c * integrals[m]))."""
+    """rows[m] times the phase correction of integrals[m], in place."""
     for row, integral in zip(rows, integrals):
         row *= _phase_correction(integral)
 

@@ -119,9 +119,7 @@ def _rotate(
 ) -> np.ndarray:
     """Potential flow of a field (or of each row of a block) over time h
     under the other's frozen modulus m_other = |other|^2, written into out,
-    with angle as scratch for -h * m_other.  Bitwise
-    np.multiply(a, np.exp(-1j * h * m_other)) but for the sign of zero parts
-    of a where m_other = 0 (the sine of -0.0 is -0.0)."""
+    with angle as scratch for -h * m_other: np.multiply(a, _cis(angle))."""
     np.multiply(m_other, -h, out=angle)
     return np.multiply(a, _cis(angle, out), out=out)
 

@@ -123,8 +123,9 @@ class ComplexField:
 
 def _cis(angle: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """e^{i angle} from cos and sin of the real angle, at about 2/3 the cost of
-    np.exp(1j * angle), into out if given; bitwise it but for angle = -0.0,
-    whose sine is -0.0."""
+    np.exp(1j * angle), into out if given.  It is bitwise that exp but for
+    angle = -0.0, whose sine is -0.0 (the exp gives +0.0), so a product with
+    such a factor may differ from exp's in the sign of a zero part."""
     e = np.empty(angle.shape, dtype=np.complex128) if out is None else out
     np.cos(angle, out=e.real)
     np.sin(angle, out=e.imag)

@@ -16,8 +16,9 @@ ASYM_T_END = 256.0
 
 @pytest.fixture(autouse=True)
 def no_thread_outlives_a_test():
-    """The analysis' lane worker (`spectral._two_lanes`) and the ray pass's
-    worker live only for a call; the stepping kernel starts no thread."""
+    """The lane worker of `spectral._two_lanes`, which the analysis and the
+    ray pass share, lives only for a call; the stepping kernel starts no
+    thread."""
     before = threading.enumerate()
     yield
     after = threading.enumerate()

@@ -4,6 +4,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import scatterlab as sl
@@ -163,6 +164,24 @@ class TestCli:
         rc = main(["simulate", "--config", str(path), "--outdir", str(tmp_path / "out")])
         assert rc == 2
         assert "grid N = 256" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, v_lines", [("decay", 1), ("scattering", 3), ("asymptotic", 1)])
+    def test_zero_field_is_vacuous(self, tmp_path, command, v_lines):
+        # v = 0 and u free (the smoke replay's data, which wrap around this
+        # box by t = 32): each v line is vacuous; u's stay verdicts
+        grid = sl.Grid1D(L=300.0, N=4096)
+        u1 = sl.ComplexField(grid, np.exp(-grid.x**2), "physical")
+        zero = sl.ComplexField(grid, np.zeros(grid.N), "physical")
+        times = [2.0**k for k in range(8)]
+        snaps = tuple(sl.PairState(sl.free_evolve(u1, t - 1.0), zero, t) for t in times)
+        traj = sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=1.0), snapshots=snaps, dt=float("nan"))
+        cfg = replace(sl.parse_config(write_config(tmp_path, GOOD_CONFIG)), t_end=times[-1])
+        lines = cli._COMMANDS[command](cfg, traj, tmp_path)
+        labels = [line.split("] ")[1].split(":")[0] for line in lines]
+        on_v = [line for line, label in zip(lines, labels) if "v" in label.split()]
+        assert on_v == [f"[PASS] {label}: vacuous (zero field)" for label in labels if "v" in label.split()]
+        assert len(on_v) == v_lines and len(lines) == 2 * v_lines
+        assert not any("vacuous" in line for line in lines if line not in on_v)
 
     def test_missing_file_exits_2(self, tmp_path):
         rc = main(["decay", "--config", str(tmp_path / "nope.cfg")])

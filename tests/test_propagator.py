@@ -7,13 +7,12 @@ import scatterlab as sl
 import threading
 import tracemalloc
 import weakref
-from concurrent.futures import ThreadPoolExecutor
 
 from numpy.fft import fft, ifft
 from scipy.fft import next_fast_len
 
 import scatterlab.propagator as propagator
-from scatterlab.propagator import FrequencyRangeError, _bluestein_plan, _unit_phase
+from scatterlab.propagator import FrequencyRangeError, _bluestein_plan, _linear_phase, _unit_phase
 from scatterlab.spectral import to_physical
 
 
@@ -42,11 +41,6 @@ def direct_spectrum(field, targets):
     return np.exp(-1j * np.outer(targets, g.x)) @ to_physical(field).samples * (g.dx / np.sqrt(2 * np.pi))
 
 
-def build_plan(*geometry):
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        return _bluestein_plan(pool, *geometry)
-
-
 def one_lane_spectrum(fields, targets, length=None):
     """Reference for spectrum_at's two lanes: the plan applied to one field
     after another, out of place, as a single-threaded loop does it.  With a
@@ -54,7 +48,7 @@ def one_lane_spectrum(fields, targets, length=None):
     g = fields[0].grid
     n, m = g.N, len(targets)
     dxi = float(targets[-1] - targets[0]) / (m - 1)
-    plan = build_plan(n, float(g.x[0]), g.dx, float(targets[0]), dxi, m)
+    plan = _bluestein_plan(n, float(g.x[0]), g.dx, float(targets[0]), dxi, m)
     kernel_hat = plan.kernel_hat
     if length is not None:
         span = np.arange(1 - n, m)
@@ -62,17 +56,44 @@ def one_lane_spectrum(fields, targets, length=None):
     rows = []
     for f in fields:
         phi = to_physical(f).samples
-        conv = ifft(fft(phi * plan.shift * plan.chirp, kernel_hat.size) * kernel_hat)
-        row = plan.out_phase * conv[n - 1 : n - 1 + m]
-        row *= g.dx / np.sqrt(2 * np.pi)
-        rows.append(row)
+        conv = ifft(fft(phi * plan.in_phase, kernel_hat.size) * kernel_hat)
+        rows.append(plan.out_phase * conv[n - 1 : n - 1 + m])
     return rows
+
+
+# a unit phase e^{i a}, a reduced mod 2 pi in extended precision, is within
+# about 2 ulp of 1 (of the double rounding of the reduced angle); a product
+# of three stays within PHASE_ULPS.  The extended-precision rounding of the
+# unreduced angle, 2^-64 of its size, adds to that
+PHASE_ULPS = 8
+
+
+def phase_bound(angle):
+    """PHASE_ULPS ulp of 1 plus 4 extended-precision ulp of the largest angle."""
+    return PHASE_ULPS * np.spacing(1.0) + 4 * np.finfo(np.longdouble).eps * float(np.max(np.abs(angle)))
+
+
+def cis_reduced(angle):
+    """e^{i angle} of extended-precision angles, each reduced as one."""
+    return _unit_phase(np.longdouble(1), angle)
 
 
 def noise_fields(grid, rng, k):
     """k fields of complex noise, each on a random side."""
     sides = rng.choice(["physical", "spectral"], size=k)
     return [sl.ComplexField(grid, [1, 1j] @ rng.normal(size=(2, grid.N)), side) for side in sides]
+
+
+class TestLinearPhase:
+    @pytest.mark.parametrize("count", [1, 2, 3, 4, 15, 16, 17, 1000, 4097, 1 << 18])
+    @pytest.mark.parametrize("scale", [-3.7, 0.0123, 41.0])
+    def test_within_bound_of_unit_phase(self, count, scale):
+        # the outer product of two tables; a ragged last block is cut off
+        scale = np.longdouble(scale) / 7
+        direct = _unit_phase(scale, np.arange(count))
+        got = _linear_phase(scale, count)
+        assert got.shape == (count,)
+        assert np.max(np.abs(got - direct)) <= phase_bound(scale * (count - 1))
 
 
 class TestFreeEvolve:
@@ -178,6 +199,28 @@ class TestSpectrumAt:
             assert val.shape == (1,)
             assert abs(val[0] - ref[0]) < 1e-13
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(4, 256).map(lambda h: 2 * h),
+        m=st.integers(1, 700),
+        L=st.floats(1.0, 100.0),
+        xi0=st.floats(-6.0, 6.0),
+        dxi=st.floats(-0.05, 0.05),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # one target; a ragged last block of the linear phases; m > n
+    @example(n=8, m=1, L=3.0, xi0=-1.5, dxi=0.0, seed=0)
+    @example(n=512, m=17, L=100.0, xi0=6.0, dxi=-0.05, seed=1)
+    @example(n=8, m=700, L=1.0, xi0=-6.0, dxi=0.05, seed=2)
+    def test_matches_direct_sum(self, n, m, L, xi0, dxi, seed):
+        # the grid sets the sources: x0 = -L/2 and dx = L/n
+        grid = sl.Grid1D(L=L, N=n)
+        (f,) = noise_fields(grid, np.random.default_rng(seed), 1)
+        targets = np.linspace(xi0, xi0 + (m - 1) * dxi, m)
+        (row,) = sl.spectrum_at([f], targets)
+        terms = grid.dx / np.sqrt(2 * np.pi) * np.sum(np.abs(to_physical(f).samples))
+        assert np.max(np.abs(row - direct_spectrum(f, targets))) <= 1e-12 * terms
+
     def test_nonuniform_targets_rejected(self):
         grid = sl.Grid1D(L=50.0, N=256)
         f = smooth_random(grid, 8)
@@ -271,9 +314,10 @@ class TestTwoLanes:
 
     @pytest.mark.parametrize("passed", [0, 1])
     def test_worker_error_propagates(self, monkeypatch, passed):
-        # passed = 0 fails the worker's kernel transform, 1 its first row
+        # the worker transforms the rows of fields 1 and 3: passed = 0 fails
+        # its first row, 1 its second
         grid = sl.Grid1D(L=50.0, N=256)
-        fields = [smooth_random(grid, s) for s in (9, 10, 11)]
+        fields = [smooth_random(grid, s) for s in (9, 10, 11, 12, 13)]
         worker_calls = []
 
         def failing_fft(*args, **kwargs):
@@ -287,44 +331,8 @@ class TestTwoLanes:
         with pytest.raises(RuntimeError, match="worker lane failed"):
             sl.spectrum_at(fields, grid.x / 2.0)
 
-    def test_worker_shift_error_propagates(self, monkeypatch):
-        # the worker tabulates the source shift after its kernel transform
-        grid = sl.Grid1D(L=50.0, N=256)
-        fields = [smooth_random(grid, s) for s in (9, 10, 11)]
-        worker_calls = []
-
-        def failing_unit_phase(*args):
-            if threading.current_thread() is not threading.main_thread():
-                worker_calls.append(args[1].size)
-                if len(worker_calls) == 2:
-                    raise RuntimeError("shift table failed")
-            return _unit_phase(*args)
-
-        monkeypatch.setattr(propagator, "_unit_phase", failing_unit_phase)
-        with pytest.raises(RuntimeError, match="shift table failed"):
-            sl.spectrum_at(fields, np.linspace(-2.0, 2.0, 300))
-        assert worker_calls == [300, 256]
-
 
 class TestBluesteinPlan:
-    def test_lanes_tabulate_two_phases_each(self, monkeypatch):
-        # worker: span chirp, kernel transform, source shift; caller: source
-        # chirp and output ray phase, while the worker is busy
-        events = []
-
-        def tracing(name, fn):
-            def traced(*args, **kwargs):
-                events.append((name, threading.current_thread() is threading.main_thread()))
-                return fn(*args, **kwargs)
-
-            return traced
-
-        monkeypatch.setattr(propagator, "_unit_phase", tracing("phase", _unit_phase))
-        monkeypatch.setattr(propagator, "fft", tracing("fft", fft))
-        build_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
-        assert [name for name, main in events if not main] == ["phase", "fft", "phase"]
-        assert [name for name, main in events if main] == ["phase", "phase"]
-
     def test_interleaved_geometries_and_fields(self, monkeypatch):
         grid = sl.Grid1D(L=50.0, N=1024)
         fields = [smooth_random(grid, 9), smooth_random(grid, 10)]
@@ -341,8 +349,26 @@ class TestBluesteinPlan:
         assert np.array_equal(results[0], results[2])
         assert len(builds) == 3
 
+    @pytest.mark.parametrize("n, m", [(8, 1), (64, 40), (64, 150), (1024, 1024), (256, 3001)])
+    def test_one_quadratic_table_on_the_calling_thread(self, monkeypatch, n, m):
+        # the span chirp is the plan's one max(n, m)-long reduction; the
+        # linear phases reduce tables of about sqrt(n) and sqrt(m) entries
+        grid = sl.Grid1D(L=50.0, N=n)
+        tables = []
+
+        def counting(scale, index):
+            tables.append((index.size, threading.current_thread() is threading.main_thread()))
+            return _unit_phase(scale, index)
+
+        monkeypatch.setattr(propagator, "_unit_phase", counting)
+        sl.spectrum_at([smooth_random(grid, 9), smooth_random(grid, 10)], np.linspace(-2.0, 2.5, m))
+        sizes = sorted(size for size, _ in tables)
+        assert sizes[-1] == max(n, m) and len(sizes) == 5
+        assert sizes[-2] <= np.ceil(np.sqrt(max(n, m)))
+        assert all(main for _, main in tables)
+
     def test_plan_arrays_read_only(self):
-        plan = build_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
+        plan = _bluestein_plan(64, -3.2, 0.1, -2.0, 0.05, 40)
         for arr in plan:
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -373,17 +399,19 @@ class TestRayEngine:
     @pytest.mark.parametrize("n, m", [(64, 40), (64, 150), (1024, 1024), (64, 20000)])
     def test_plan_arrays_match_direct_formulas(self, n, m):
         x0, dx, xi0, dxi = -3.2, 0.1, -2.0, 0.05
-        plan = build_plan(n, x0, dx, xi0, dxi, m)
+        plan = _bluestein_plan(n, x0, dx, xi0, dxi, m)
         ld = np.longdouble
         theta = ld(dx) * ld(dxi)
         j = np.arange(n)
         k = np.arange(m)
         span = np.arange(-(n - 1), m)
-        ray = _unit_phase(-ld(x0) * ld(dxi), k) * np.exp(-1j * x0 * xi0)
-        assert np.array_equal(plan.shift, _unit_phase(-ld(dx) * ld(xi0), j))
-        assert np.array_equal(plan.chirp, _unit_phase(-theta / 2, j * j))
-        out_phase = np.multiply(ray, _unit_phase(-theta / 2, k * k))
-        assert np.array_equal(plan.out_phase, out_phase)
+        # against each entry's whole angle, reduced once: the plan multiplies
+        # three unit phases (and rounds x0 * xi0 to a double)
+        angle = -ld(dx) * ld(xi0) * j - theta / 2 * (j * j)
+        assert np.max(np.abs(plan.in_phase - cis_reduced(angle))) <= phase_bound(angle)
+        angle = -ld(x0) * (ld(xi0) + ld(dxi) * k) - theta / 2 * (k * k)
+        deviation = np.abs(plan.out_phase / (dx / np.sqrt(2 * np.pi)) - cis_reduced(angle))
+        assert np.max(deviation) <= phase_bound(angle) + np.spacing(x0 * xi0)
         kernel = _unit_phase(theta / 2, span * span)
         assert np.array_equal(plan.kernel_hat, fft(kernel, next_fast_len(span.size)))
 
@@ -450,12 +478,12 @@ class TestRayEngine:
 
         monkeypatch.setattr(propagator, "fft", watching_fft)
         sl.spectrum_at(fields, grid.x / 2.0)
-        # the plan's kernel transform on the worker, then one per row; every
+        # the plan's kernel transform on this thread, then one per row; every
         # transform overwrites its input, and each lane reuses its one buffer
         assert len(calls) == 4
         assert all(np.shares_memory(out, x) for x, out, _ in calls)
         kernel, *rows = calls
-        assert not kernel[2]
+        assert kernel[2]
         main_bufs = {id(x) for x, _, main in rows if main}
         worker_bufs = {id(x) for x, _, main in rows if not main}
         assert len(main_bufs) == len(worker_bufs) == 1 and main_bufs != worker_bufs

@@ -103,17 +103,11 @@ def thread_starter_sites(path):
 
 class TestLaneMechanisms:
     def test_threads_start_only_in_the_lane_helper_and_the_ray_pass(self):
-        # the analysis starts its lanes through spectral._two_lanes and the
-        # ray pass keeps its own pool; the stepping kernel starts none
+        # the analysis and the ray pass start their lanes through
+        # spectral._two_lanes; the stepping kernel starts none
         package = Path(spectral.__file__).parent
         sites = set().union(*(thread_starter_sites(p) for p in package.glob("*.py")))
-        assert sites == {
-            ("spectral.py", None),
-            ("spectral.py", "_two_lanes"),
-            ("propagator.py", None),
-            ("propagator.py", "_bluestein_plan"),
-            ("propagator.py", "spectrum_at"),
-        }
+        assert sites == {("spectral.py", None), ("spectral.py", "_two_lanes")}
 
 
 def on_worker():
