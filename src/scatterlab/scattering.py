@@ -20,14 +20,16 @@ from .remainder import (
     profile_spectra,
     remainder_physical,
 )
-from .solver import Trajectory
+from .solver import LIMIT_FLOOR, Trajectory, _extent, _resample
 from .spectral import (
+    PHYSICAL,
     SPECTRAL,
     ComplexField,
     Grid1D,
     _cis,
+    _h0n_of_modulus,
     _two_lanes,
-    fourier_inverse,
+    next_fast_len,
     norm_H0n,
     norm_L1,
     norm_L2,
@@ -188,9 +190,9 @@ def estimate_limit(times: np.ndarray, rows, grid: Grid1D, n: int) -> ScatteringE
     diff_linf = np.empty(len(rows))
     diff_h0n = np.empty(len(rows))
     for i, w in enumerate(rows):
-        diff = w - w_last.samples
-        diff_linf[i] = np.max(np.abs(diff))
-        diff_h0n[i] = norm_H0n(ComplexField(grid, diff, SPECTRAL), n, scale=w_peak)
+        mag = np.abs(w - w_last.samples)
+        diff_linf[i] = np.max(mag)
+        diff_h0n[i] = _h0n_of_modulus(mag, grid.xi, grid.dxi, n, scale=w_peak)
     fit = times <= t_max / 4.0
     try:
         fit_linf = fit_rate(times[fit], diff_linf[fit])
@@ -298,14 +300,12 @@ def _norm_series(fields) -> tuple[np.ndarray, np.ndarray]:
     return np.array([norm_Linf(f) for f in fields]), np.array([norm_L2(f) ** 2 for f in fields])
 
 
-def _physical_limits(est: ScatteringEstimate) -> tuple[ComplexField, ComplexField]:
-    """One component's W and Gamma on the physical side, for the ray pass."""
-    return fourier_inverse(est.W), fourier_inverse(ComplexField(est.W.grid, est.gamma_limit, SPECTRAL))
-
-
 def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> TrajectoryAnalysis:
     """Run the full per-snapshot analysis; quantities that need a longer
-    window or a finer frequency grid degrade to None/NaN rather than fail."""
+    window or a finer frequency grid degrade to None/NaN rather than fail.
+    The ray pass evaluates the limits on their band: the same L and the
+    smallest even fast length, at most N, whose centred frequencies hold
+    each limit above LIMIT_FLOOR of its own peak.  Rays beyond it read 0."""
     w_f, w_g = corrected_spectra(traj)[:2]  # drops the phase accumulators
     times = traj.times
     try:
@@ -323,20 +323,32 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
     nanrow = np.full(m, np.nan)
     asym_u, asym_v = nanrow.copy(), nanrow.copy()
     if est_u is not None and with_asymptotic:
-        # transformed once; every snapshot time evaluates all four on its rays
-        (lim_w_u, lim_gamma_u), (lim_w_v, lim_gamma_v) = _two_lanes(_physical_limits, (est_u,), (est_v,))
-        limits = [lim_w_u, lim_w_v, lim_gamma_u, lim_gamma_v]
+        # transformed once, on the band; every snapshot time evaluates all
+        # four on the rays inside it
+        grid = traj.grid
+        spectra = [est_u.W.samples, est_v.W.samples, est_u.gamma_limit, est_v.gamma_limit]
+        k = round(max(_extent(s, grid.xi, LIMIT_FLOOR) for s in spectra) / grid.dxi)
+        band = Grid1D(grid.L, min(grid.N, max(8, 2 * next_fast_len(k + 1))))
+        limits = [ComplexField(band, _resample(s, band), PHYSICAL) for s in spectra]
+        edge = float(band.xi[-1])
         for i, t in enumerate(times):
             try:
-                targets = _ray_targets(traj.grid, t)
+                targets = _ray_targets(grid, t)
             except FrequencyRangeError:
                 continue
-            w_u, w_v, ray_gamma_u, ray_gamma_v = spectrum_at(limits, targets)
+            lo, hi = np.searchsorted(targets, -edge), np.searchsorted(targets, edge, "right")
+            # the plan reads only the end points and the count; linspace keeps
+            # both, and keeps a narrow slice within spectrum_at's drift bound,
+            # which the rays of a grid whose nodes round at ulp(L/2) can exceed
+            inside = np.linspace(targets[lo], targets[hi - 1], hi - lo)
+            rows = np.zeros((4, grid.N), np.complex128)
+            np.stack(spectrum_at(limits, inside), out=rows[:, lo:hi])
+            w_u, w_v, ray_gamma_u, ray_gamma_v = rows
             state = traj.snapshots[i]
             asym_u[i], asym_v[i] = _two_lanes(
                 _closed_form_gap, (state.u, t, w_u, w_v, ray_gamma_v), (state.v, t, w_v, w_u, ray_gamma_u)
             )
-            del w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
+            del rows, w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
     return TrajectoryAnalysis(
         times=times,
         est_u=est_u,

@@ -36,6 +36,9 @@ DEFAULT_SCHEDULE_RATIO = 2.0**0.25
 # thresholds of the domain sizing rule, the in-flight wrap guard and the
 # band-edge guard (spectral amplitude in the outer tenth of a band)
 SPECTRUM_FLOOR = 1e-12
+# amplitude, relative to each scattering limit's own peak, that the ray
+# pass's band must hold (scattering.analyze_trajectory)
+LIMIT_FLOOR = 1e-15
 EDGE_HARD_LIMIT = 1e-6
 BAND_EDGE_LIMIT = 1e-10
 
@@ -313,13 +316,13 @@ def geometric_schedule(t_end: float, ratio: float = DEFAULT_SCHEDULE_RATIO) -> n
     return np.array(times)
 
 
-def _extent(samples: np.ndarray, coord: np.ndarray) -> float:
-    """Largest |coord| whose amplitude still exceeds SPECTRUM_FLOOR * peak."""
+def _extent(samples: np.ndarray, coord: np.ndarray, floor: float = SPECTRUM_FLOOR) -> float:
+    """Largest |coord| whose amplitude still exceeds floor * peak."""
     mag = np.abs(samples)
     peak = float(np.max(mag))
     if peak == 0.0:
         return 0.0
-    return float(np.max(np.abs(coord[mag > SPECTRUM_FLOOR * peak])))
+    return float(np.max(np.abs(coord[mag > floor * peak])))
 
 
 def check_domain_for_horizon(u1: ComplexField, v1: ComplexField, t_end: float) -> None:

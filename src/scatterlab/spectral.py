@@ -252,7 +252,13 @@ def norm_H0n(field: ComplexField, n: int, scale: float | None = None) -> float:
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    mag = np.abs(field.samples)
+    g = field.grid
+    return _h0n_of_modulus(np.abs(field.samples), g.coordinate(field.side), g.weight(field.side), n, scale)
+
+
+def _h0n_of_modulus(mag: np.ndarray, coord: np.ndarray, w: float, n: int, scale: float | None = None) -> float:
+    """norm_H0n of samples with modulus mag on the coordinate coord, each of
+    quadrature weight w, with its edge-mass warning."""
     peak = float(np.max(mag)) if mag.size else 0.0
     floor = 0.0 if scale is None else _ROUNDOFF * scale
     if peak > floor and max(mag[0], mag[-1]) > 1e-8 * peak:
@@ -260,10 +266,9 @@ def norm_H0n(field: ComplexField, n: int, scale: float | None = None) -> float:
             "field amplitude at the domain edge exceeds 1e-8 of its peak; "
             "weighted norms are unreliable",
             EdgeMassWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    w = field.grid.weight(field.side)
-    return _weighted_l2_sum(mag**2, np.abs(field.grid.coordinate(field.side)), w, n)
+    return _weighted_l2_sum(mag**2, np.abs(coord), w, n)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,9 @@ import scatterlab.scattering as scattering
 from scatterlab.remainder import RESONANT_COEFF, TrilinearInput
 from scatterlab.propagator import _ray_targets
 from scatterlab.scattering import _cauchy_pairs, _closed_form_gap
+from scatterlab.solver import LIMIT_FLOOR
 from scatterlab.spectral import _cis
+from scipy.fft import next_fast_len
 from conftest import coarsen
 
 
@@ -27,11 +29,11 @@ def zero_trajectory(t_end=16.0):
     return sl.Trajectory(grid=grid, params=params, snapshots=snaps, dt=0.1)
 
 
-def free_pair_trajectory(t_end=32.0, L=700.0, N=4096):
+def free_pair_trajectory(t_end=32.0, L=700.0, N=4096, width=1.0):
     """Both components freely evolved: every |profile spectrum| is constant."""
     grid = sl.Grid1D(L=L, N=N)
-    u1 = sl.ComplexField(grid, 0.3 * np.exp(-grid.x**2 / 2), "physical")
-    v1 = sl.ComplexField(grid, 0.2 * np.exp(-grid.x**2 / 3), "physical")
+    u1 = sl.ComplexField(grid, 0.3 * np.exp(-grid.x**2 / (2 * width**2)), "physical")
+    v1 = sl.ComplexField(grid, 0.2 * np.exp(-grid.x**2 / (3 * width**2)), "physical")
     params = sl.AnalysisParams.make(epsilon=0.3)
     snaps = []
     for t in sl.geometric_schedule(t_end):
@@ -65,6 +67,40 @@ def corrected_checked(traj):
 
 def bits(a):
     return np.ascontiguousarray(a).view(np.uint64)
+
+
+def ray_band(grid, spectra):
+    """The ray pass's band: the grid with grid's L and the smallest even
+    n = 2 * (11-smooth), at least 8 and at most N, whose centred frequency
+    indices -n/2 .. n/2-1 hold every sample above LIMIT_FLOOR of its own
+    spectrum's peak."""
+    k = 0
+    for s in spectra:
+        mag = np.abs(s)
+        if mag.max() > 0:
+            k = max(k, int(np.max(np.abs(np.flatnonzero(mag > LIMIT_FLOOR * mag.max()) - grid.N // 2))))
+    return sl.Grid1D(grid.L, min(grid.N, max(8, 2 * next_fast_len(k + 1))))
+
+
+def band_rows(grid, spectra, t, single=False):
+    """The spectra's interpolants along the rays x/2t inside their ray band,
+    0 beyond it, as one (len(spectra), N) block: spectrum_at of the band
+    grid's physical limits on the in-band rays, one call for all spectra
+    (single=False) or one per spectrum, at linspace targets with the end
+    points of those rays."""
+    band = ray_band(grid, spectra)
+    cut = slice((grid.N - band.N) // 2, (grid.N + band.N) // 2)
+    fields = [sl.fourier_inverse(sl.ComplexField(band, s[cut], "spectral")) for s in spectra]
+    targets = _ray_targets(grid, t)
+    inside = np.abs(targets) <= band.xi[-1]
+    rays = np.linspace(targets[inside][0], targets[inside][-1], np.count_nonzero(inside))
+    rows = np.zeros((len(spectra), grid.N), dtype=complex)
+    if single:
+        for row, field in zip(rows, fields):
+            row[inside] = sl.spectrum_at([field], rays)[0]
+    else:
+        rows[:, inside] = sl.spectrum_at(fields, rays)
+    return rows
 
 
 class TestProfile:
@@ -441,9 +477,10 @@ def log_trapezoid_rows(times, squares):
 def sequential_analysis(traj):
     """The analysis on one thread from whole blocks: the profile block, each
     side's (M, N) squares and trapezoid, np.exp corrections, the offset
-    block's last row as Gamma and np.exp in the closed form.  Returns the
-    corrected sides, ((values, quadrature error) of u, of v), the (W, Gamma)
-    of u and of v, and the two closed-form gap series."""
+    block's last row as Gamma, band_rows for the rays and np.exp in the
+    closed form.  Returns the corrected sides, ((values, quadrature error)
+    of u, of v), the (W, Gamma) of u and of v, and the two closed-form gap
+    series."""
     times = traj.times
     backs = [_cis(s.t * traj.grid.xi**2) for s in traj.snapshots]
     block = np.array(
@@ -466,14 +503,12 @@ def sequential_analysis(traj):
             offsets[m] -= sq[m] * np.log(t)
         limits.append((rows[-1], offsets[-1]))
     (W_u, gamma_u), (W_v, gamma_v) = limits
-    fields = [sl.ComplexField(traj.grid, a, "spectral") for a in (W_u, W_v, gamma_u, gamma_v)]
     gaps = np.full((2, len(times)), np.nan)
     for i, (t, state) in enumerate(zip(times, traj.snapshots)):
         try:
-            targets = _ray_targets(traj.grid, t)
+            w_u, w_v, ray_gamma_u, ray_gamma_v = band_rows(traj.grid, [W_u, W_v, gamma_u, gamma_v], t)
         except sl.FrequencyRangeError:
             continue
-        w_u, w_v, ray_gamma_u, ray_gamma_v = sl.spectrum_at(fields, targets)
         for k, (actual, own, other, gamma) in enumerate(
             ((state.u, w_u, w_v, ray_gamma_v), (state.v, w_v, w_u, ray_gamma_u))
         ):
@@ -510,6 +545,7 @@ class TestLanes:
             assert np.array_equal(bits(est.gamma_limit), bits(gamma))
             assert np.array_equal(est.diff_linf, np.max(np.abs(rows - W), axis=1))
         assert np.count_nonzero(np.isfinite(ref_gaps[0])) >= 2
+        assert ray_band(traj.grid, limit_spectra(analysis)).N < N
         assert np.array_equal(analysis.asym_u, ref_gaps[0], equal_nan=True)
         assert np.array_equal(analysis.asym_v, ref_gaps[1], equal_nan=True)
 
@@ -561,30 +597,32 @@ class TestLanes:
             monkeypatch.undo()
 
     def test_series_and_limits_split_by_component(self, monkeypatch):
-        # u's norm series and physical limits on the calling thread, v's on
+        # u's norm series and limit estimate on the calling thread, v's on
         # the worker; the series are bitwise the one-thread loops
         traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
         calls = {}
-        for name in ("_norm_series", "_physical_limits"):
+        for name in ("_norm_series", "estimate_limit"):
             work = getattr(scattering, name)
 
-            def watched(arg, work=work, name=name):
-                calls[name, threading.current_thread() is threading.main_thread()] = arg
-                return work(arg)
+            def watched(*args, work=work, name=name):
+                out = work(*args)
+                calls[name, threading.current_thread() is threading.main_thread()] = (args, out)
+                return out
 
             monkeypatch.setattr(scattering, name, watched)
         analysis = sl.analyze_trajectory(traj)
         assert len(calls) == 4
-        fields_u, fields_v = calls["_norm_series", True], calls["_norm_series", False]
+        (fields_u,), _ = calls["_norm_series", True]
+        (fields_v,), _ = calls["_norm_series", False]
         assert all(fu is s.u and fv is s.v for fu, fv, s in zip(fields_u, fields_v, traj.snapshots, strict=True))
-        assert calls["_physical_limits", True] is analysis.est_u
-        assert calls["_physical_limits", False] is analysis.est_v
+        assert calls["estimate_limit", True][1] is analysis.est_u
+        assert calls["estimate_limit", False][1] is analysis.est_v
         for side, linf, mass in (("u", analysis.u_linf, analysis.u_mass), ("v", analysis.v_linf, analysis.v_mass)):
             fields = [getattr(s, side) for s in traj.snapshots]
             assert np.array_equal(bits(linf), bits(np.array([sl.norm_Linf(f) for f in fields])))
             assert np.array_equal(bits(mass), bits(np.array([sl.norm_L2(f) ** 2 for f in fields])))
 
-    @pytest.mark.parametrize("name", ["_norm_series", "_physical_limits"])
+    @pytest.mark.parametrize("name", ["_norm_series"])
     @pytest.mark.parametrize("wrong", ["u", "v"])
     def test_series_and_limits_lane_error_reaches_caller(self, wrong, name, monkeypatch):
         traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
@@ -654,22 +692,23 @@ class TestAsymptoticResidual:
             _ray_targets(traj.grid, 1.0)
 
 
+def limit_spectra(analysis):
+    """The analysis' four spectral limits (W_u, W_v, Gamma_u, Gamma_v)."""
+    est_u, est_v = analysis.est_u, analysis.est_v
+    return [est_u.W.samples, est_v.W.samples, est_u.gamma_limit, est_v.gamma_limit]
+
+
 class TestRayAnalysis:
     def test_analysis_matches_residual_bitwise(self):
-        # reference: one spectrum_at call per spectral-side limit and time
+        # reference: one spectrum_at call per band limit and time
         traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
         analysis = sl.analyze_trajectory(traj)
-        est_u, est_v = analysis.est_u, analysis.est_v
-        limits = [est_u.W, est_v.W] + [
-            sl.ComplexField(traj.grid, e.gamma_limit, "spectral") for e in (est_u, est_v)
-        ]
         usable = np.isfinite(analysis.asym_u)
         assert np.count_nonzero(usable) >= 2
         assert np.array_equal(usable, np.isfinite(analysis.asym_v))
         for i in np.nonzero(usable)[0]:
             t = traj.times[i]
-            targets = _ray_targets(traj.grid, t)
-            w_u, w_v, gamma_u, gamma_v = (sl.spectrum_at([limit], targets)[0] for limit in limits)
+            w_u, w_v, gamma_u, gamma_v = band_rows(traj.grid, limit_spectra(analysis), t, single=True)
             state = traj.snapshots[i]
             assert _closed_form_gap(state.u, t, w_u, w_v, gamma_v) == analysis.asym_u[i]
             assert _closed_form_gap(state.v, t, w_v, w_u, gamma_u) == analysis.asym_v[i]
@@ -696,12 +735,18 @@ class TestRayAnalysis:
         monkeypatch.setattr(propagator, "_bluestein_plan", counting_plan)
         monkeypatch.setattr(scattering, "spectrum_at", counting)
         analysis = sl.analyze_trajectory(traj)
-        usable = np.count_nonzero(np.isfinite(analysis.asym_u))
-        assert usable >= 2
+        usable = traj.times[np.isfinite(analysis.asym_u)]
+        assert len(usable) >= 2
         # four rows on one plan per time; the previous time's are gone first
-        assert calls == [(4, 1, 0)] * usable
+        assert calls == [(4, 1, 0)] * len(usable)
         # and the analysis holds none of them
         assert all(ref() is None for ref in spectra)
+        # each plan is built for the band's points and the rays inside it
+        band = ray_band(traj.grid, limit_spectra(analysis))
+        assert band.N < traj.grid.N
+        expected = [(band.N, np.count_nonzero(np.abs(_ray_targets(traj.grid, t)) <= band.xi[-1])) for t in usable]
+        assert [(args[0], args[-1]) for args in plans] == expected
+        assert expected[0][1] < traj.grid.N  # the first usable time's rays pass the band
 
     def test_decoupled_case_has_no_edge_warning(self):
         # v = 0 and u free: f - W is transform round-off, whose edge is noise
@@ -717,6 +762,99 @@ class TestRayAnalysis:
         )
         analysis = sl.analyze_trajectory(traj)  # the suite turns the warning into an error
         assert np.all(analysis.wf_diff_h0n < 1e-10)
+
+
+def gap_rows(traj, monkeypatch):
+    """The analysis of traj, and the rows each closed-form gap received:
+    {(i, component): (own W, other W, other Gamma)} for snapshot i."""
+    rows = {}
+    work = scattering._closed_form_gap
+
+    def recording(actual, t, w_own, w_other, gamma_other):
+        i = int(np.flatnonzero(traj.times == t)[0])
+        rows[i, "u" if actual is traj.snapshots[i].u else "v"] = (w_own, w_other, gamma_other)
+        return work(actual, t, w_own, w_other, gamma_other)
+
+    monkeypatch.setattr(scattering, "_closed_form_gap", recording)
+    return sl.analyze_trajectory(traj), rows
+
+
+def full_grid_rows(traj, analysis, i):
+    """Rows of the full-grid evaluation at snapshot i, in gap_rows' layout."""
+    fields = [sl.ComplexField(traj.grid, s, "spectral") for s in limit_spectra(analysis)]
+    w_u, w_v, gamma_u, gamma_v = sl.spectrum_at(fields, _ray_targets(traj.grid, traj.times[i]))
+    return {"u": (w_u, w_v, gamma_v), "v": (w_v, w_u, gamma_u)}
+
+
+class TestRayBand:
+    @pytest.mark.parametrize(
+        "case, w_bound, gamma_bound, gap_bound",
+        # measured: 3.7e-13, 1.5e-17, 1.8e-14 / 3.1e-13, 3.0e-17, 6.3e-14 /
+        # 3.8e-13, 2.4e-14, 1.0e-13 / 5.2e-14, 2.8e-18, 1.0e-14
+        [
+            ("free", 1e-12, 5e-17, 5e-14),
+            ("free_offgrid", 1e-12, 1e-16, 2e-13),
+            ("coupled", 1e-12, 1e-13, 3e-13),
+            ("linear", 2e-13, 1e-17, 3e-14),
+        ],
+    )
+    def test_rows_agree_with_full_grid(self, case, w_bound, gamma_bound, gap_bound, monkeypatch, request):
+        # the band rows against spectrum_at of the same limits on the whole
+        # grid, relative to the largest |W|: W rows, Gamma rows (over |W|^2)
+        # and the gaps.  free_offgrid's nodes (L = 475.2) round at ulp(L/2),
+        # so a narrow slice of its rays drifts from uniform by more than 8 ulp
+        # of its largest (spectrum_at's bound): the analysis passes linspace
+        # rays between the same end points
+        if case == "linear":
+            traj = request.getfixturevalue("linear_traj")
+        elif case == "coupled":
+            traj = coupled_trajectory(4096)
+        elif case == "free":
+            traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
+        else:
+            traj = free_pair_trajectory(t_end=32.0, L=475.2, N=4096, width=4.0)
+        analysis, rows = gap_rows(traj, monkeypatch)
+        assert ray_band(traj.grid, limit_spectra(analysis)).N < traj.grid.N
+        scale = max(np.max(np.abs(analysis.est_u.W.samples)), np.max(np.abs(analysis.est_v.W.samples)))
+        usable = np.flatnonzero(np.isfinite(analysis.asym_u))
+        assert len(usable) >= 2 and set(rows) == {(i, c) for i in usable for c in "uv"}
+        w_dev = gamma_dev = gap_dev = 0.0
+        for i in usable:
+            full = full_grid_rows(traj, analysis, i)
+            state, t = traj.snapshots[i], traj.times[i]
+            for c, asym in (("u", analysis.asym_u), ("v", analysis.asym_v)):
+                own, other, gamma = rows[i, c]
+                w_dev = max(w_dev, np.max(np.abs(own - full[c][0])), np.max(np.abs(other - full[c][1])))
+                gamma_dev = max(gamma_dev, np.max(np.abs(gamma - full[c][2])))
+                gap_dev = max(gap_dev, abs(asym[i] - _closed_form_gap(getattr(state, c), t, *full[c])))
+        assert w_dev <= w_bound * scale
+        assert gamma_dev <= gamma_bound * scale**2
+        assert gap_dev <= gap_bound * scale
+
+    def test_full_band_is_the_full_grid(self, monkeypatch):
+        # at N = 1800 the limits' spectra exceed LIMIT_FLOOR of their peaks
+        # up to the band edge: the band is the grid, and every row is
+        # bitwise the full-grid evaluation's
+        traj = free_pair_trajectory(t_end=32.0, L=700.0, N=1800)
+        plans = []
+        plan = propagator._bluestein_plan
+
+        def counting_plan(*args):
+            plans.append(args)
+            return plan(*args)
+
+        monkeypatch.setattr(propagator, "_bluestein_plan", counting_plan)
+        analysis, rows = gap_rows(traj, monkeypatch)
+        assert ray_band(traj.grid, limit_spectra(analysis)).N == traj.grid.N
+        usable = np.flatnonzero(np.isfinite(analysis.asym_u))
+        assert len(usable) >= 2 and set(rows) == {(i, c) for i in usable for c in "uv"}
+        assert [(args[0], args[-1]) for args in plans] == [(traj.grid.N, traj.grid.N)] * len(usable)
+        monkeypatch.undo()
+        for i in usable:
+            full = full_grid_rows(traj, analysis, i)
+            for c in "uv":
+                for got, want in zip(rows[i, c], full[c]):
+                    assert np.array_equal(bits(got), bits(want))
 
 
 class TestInterpolationPairs:
