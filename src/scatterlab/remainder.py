@@ -168,8 +168,11 @@ def remainder_decay_fit(traj) -> RemainderDecayReport:
         sups[m] = sup = norm_Linf(remainder_physical(inp))
         denom = norm_H10_xi(traj.grid, pair[1]) ** 2 * norm_H10_xi(traj.grid, pair[0])
         ratios[m] = sup * state.t ** (1.0 + traj.params.delta) / denom if denom > 0 else np.nan
-    scale = max(norm_Linf(s.u) for s in traj.snapshots)
-    if np.max(sups, initial=0.0) <= 1e-14 * max(scale, 1.0):
+    # R is cubic in the data, so its zero floor scales like |u| |v|^2: small
+    # data keep their fit, and u = 0 or v = 0 (R = 0 exactly) stays vacuous
+    u_max = max(norm_Linf(s.u) for s in traj.snapshots)
+    v_max = max(norm_Linf(s.v) for s in traj.snapshots)
+    if np.max(sups, initial=0.0) <= 1e-14 * u_max * v_max**2:
         return RemainderDecayReport(None, times, sups, ratios, vacuous=True)
     if times[-1] / times[0] < 10.0**1.5:
         raise ValueError("remainder decay fit needs at least 1.5 decades of time")

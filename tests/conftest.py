@@ -77,6 +77,20 @@ def linear_traj() -> sl.Trajectory:
     return sl.Trajectory(grid=grid, params=params, snapshots=tuple(snaps), dt=float("nan"))
 
 
+def smooth_random_input(grid: sl.Grid1D, width: float, rng: np.random.Generator, s: float) -> sl.TrilinearInput:
+    """Random spectrally-smooth pair: Gaussian envelope times a low-order
+    random polynomial, the standard shape for quadrature cross-checks."""
+    xi = grid.xi
+    env = np.exp(-((width * xi) ** 2) / 2.0)
+
+    def one() -> sl.ComplexField:
+        coeff = rng.normal(size=4) + 1j * rng.normal(size=4)
+        poly = sum(c * (width * xi) ** j for j, c in enumerate(coeff))
+        return sl.ComplexField(grid, 0.5 * env * poly, sl.SPECTRAL)
+
+    return sl.TrilinearInput(one(), one(), s)
+
+
 def coarsen(traj: sl.Trajectory) -> sl.Trajectory:
     """Every-other-snapshot view of a trajectory (same solve)."""
     return sl.Trajectory(

@@ -13,8 +13,7 @@ sharp one sqrt(2*pi)).
 import numpy as np
 
 import scatterlab as sl
-from scatterlab.cli import smooth_random_input
-from conftest import coarsen
+from conftest import coarsen, smooth_random_input
 
 
 def report(ok: bool, label: str, detail: str) -> None:

@@ -9,7 +9,7 @@ import pytest
 
 import scatterlab as sl
 import scatterlab.cli as cli
-from scatterlab.cli import main, oracle_cross_check
+from scatterlab.cli import main
 from scatterlab.config import _KEYS, ConfigError
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -196,7 +196,9 @@ class TestCli:
         assert rc == 0
         if command in ("decay", "scattering", "asymptotic"):
             assert capsys.readouterr().out == f"[PASS] {command}: vacuous (zero data)\n"
-        if command != "remainder":
+        if command == "remainder":
+            assert capsys.readouterr().out == "[PASS] remainder decay: vacuous (zero interaction)\n"
+        else:
             rows = (out / "snapshots.csv").read_text().splitlines()[1:]
             for row in rows:
                 cols = row.split(",")
@@ -337,9 +339,18 @@ class TestShippedConfigs:
         lines = (out / "simulate_report.txt").read_text().splitlines()
         assert lines and all(line.startswith("[PASS]") for line in lines)
 
+    def test_remainder_reports_only_its_run(self, tmp_path, monkeypatch):
+        # the verdict reads the run it is given: two lines, and no test
+        # oracle (the O(N^3) quadrature) runs inside it
+        def refuse(*args):
+            raise AssertionError("remainder_oracle ran inside a verdict")
 
-class TestOracleCrossCheck:
-    def test_seeded_and_tight(self):
-        worst = oracle_cross_check(seed=12345, cases=3)
-        assert worst <= 1e-6
-        assert oracle_cross_check(seed=12345, cases=3) == worst
+        monkeypatch.setattr(sl.remainder, "remainder_oracle", refuse)
+        if hasattr(cli, "remainder_oracle"):
+            monkeypatch.setattr(cli, "remainder_oracle", refuse)
+        out = tmp_path / "out"
+        rc = main(["remainder", "--config", str(CONFIGS / "quick.cfg"), "--outdir", str(out)])
+        assert rc == 0
+        lines = (out / "remainder_report.txt").read_text().splitlines()
+        assert len(lines) == 2 and all(line.startswith("[PASS]") for line in lines), lines
+        assert not any("oracle" in line for line in lines), lines

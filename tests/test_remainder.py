@@ -1,10 +1,12 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 import scatterlab as sl
 import scatterlab.remainder as remainder
-from scatterlab.cli import smooth_random_input
 from scatterlab.remainder import RESONANT_COEFF, TrilinearInput
+from conftest import CONFIGS, smooth_random_input
 
 
 def synthetic_input(seed=0, L=24.0, width=1.25, s=1.0):
@@ -102,6 +104,19 @@ class TestDecayFits:
         report = sl.remainder_decay_fit(traj)
         assert report.vacuous
         assert report.fit is None
+
+    def test_small_data_keep_their_fit(self):
+        # R is cubic in the data: on quick.cfg sup|R| at t = 1 is 6.6 eps^3,
+        # 6.6e-15 at eps = 1e-5, which is still an interaction to fit
+        exponents = []
+        for eps in (1e-3, 1e-5):
+            cfg = replace(sl.parse_config(CONFIGS / "quick.cfg"), epsilon=eps)
+            _, params, u1, v1 = sl.build_experiment(cfg)
+            schedule = sl.geometric_schedule(cfg.t_end, cfg.schedule_ratio)
+            report = sl.remainder_decay_fit(sl.evolve(sl.PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params))
+            assert not report.vacuous, eps
+            exponents.append(report.fit.exponent)
+        assert abs(exponents[1] - exponents[0]) <= 1e-3, exponents
 
     def test_h10_growth_flat_in_linear_case(self):
         grid = sl.Grid1D(L=700.0, N=4096)
