@@ -24,7 +24,7 @@ import numpy as np
 
 from .config import ConfigError, build_experiment, parse_config
 from .ratefit import fit_rate
-from .remainder import remainder_decay_fit
+from .remainder import MIN_FIT_DECADES, remainder_decay_fit
 from .scattering import analyze_trajectory
 from .solver import PairState, evolve, geometric_schedule
 from .trajio import save_trajectory, write_series_csv, write_snapshot_csv
@@ -75,17 +75,20 @@ def cmd_decay(cfg, traj, outdir: Path) -> list[str]:
     if all(zero.values()):
         return ["[PASS] decay: vacuous (zero data)"]
     # dispersive decay only sets in past t ~ width^2; fit from t = 10 on
-    mask = analysis.times >= max(10.0, cfg.t_end / 20.0) * (1 - 1e-12)
+    start = max(10.0, cfg.t_end / 20.0)
+    mask = analysis.times >= start * (1 - 1e-12)
     times = analysis.times[mask]
     lines = []
     for name, series in (("u", analysis.u_linf[mask]), ("v", analysis.v_linf[mask])):
         label = f"max-norm decay of {name}"
         if zero[name]:
             lines.append(_line(True, label, "vacuous (zero field)"))
-            continue
-        fit = fit_rate(times, series)
-        ok = DECAY_BAND[0] <= fit.exponent <= DECAY_BAND[1]
-        lines.append(_line(ok, label, f"exponent {fit.exponent:.4f} in [{DECAY_BAND[0]}, {DECAY_BAND[1]}]"))
+        elif times.size < 4:
+            lines.append(_line(False, label, f"{times.size} snapshots at t >= {start:g}, fewer than 4"))
+        else:
+            fit = fit_rate(times, series)
+            ok = DECAY_BAND[0] <= fit.exponent <= DECAY_BAND[1]
+            lines.append(_line(ok, label, f"exponent {fit.exponent:.4f} in [{DECAY_BAND[0]}, {DECAY_BAND[1]}]"))
     return lines
 
 
@@ -124,11 +127,17 @@ def cmd_remainder(cfg, traj, outdir: Path) -> list[str]:
     )
     if report.vacuous:
         return ["[PASS] remainder decay: vacuous (zero interaction)"]
-    exponent = report.fit.exponent
+    if report.fit is None:
+        t0, t1 = report.times[0], report.times[-1]
+        span = f"t = {t0:g} .. {t1:g} spans {np.log10(t1 / t0):.2f} decades, fewer than {MIN_FIT_DECADES}"
+        decay = _line(False, "remainder decay", span)
+    else:
+        e = report.fit.exponent
+        decay = _line(e <= REMAINDER_SLOPE_MAX, "remainder decay", f"exponent {e:.4f} <= {REMAINDER_SLOPE_MAX}")
     finite = report.bound_ratios[np.isfinite(report.bound_ratios)]
     spread = float(np.max(finite) / np.median(finite)) if finite.size else float("nan")
     return [
-        _line(exponent <= REMAINDER_SLOPE_MAX, "remainder decay", f"exponent {exponent:.4f} <= {REMAINDER_SLOPE_MAX}"),
+        decay,
         _line(
             spread <= REMAINDER_RATIO_SPREAD, "remainder bound ratio", f"max/median {spread:.3f} <= {REMAINDER_RATIO_SPREAD}"
         ),

@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .solver import check_domain_for_horizon, initial_pair
+from .solver import DEFAULT_SCHEDULE_RATIO, check_domain_for_horizon, initial_pair
 from .spectral import AnalysisParams, Grid1D, norm_Linf
 
 # maximum of dt * max(|u|^2, |v|^2) allowed at t = 1
@@ -35,7 +35,7 @@ _KEYS = {
     "grid.N": ("grid_N", int, _REQUIRED),
     "solver.dt": ("dt", float, _REQUIRED),
     "solver.t_end": ("t_end", float, _REQUIRED),
-    "schedule.ratio": ("schedule_ratio", float, 2.0**0.25),
+    "schedule.ratio": ("schedule_ratio", float, DEFAULT_SCHEDULE_RATIO),
     "data.shape": ("shape", str, _REQUIRED),
     "data.epsilon": ("epsilon", float, _REQUIRED),
     "data.width": ("width", float, _REQUIRED),

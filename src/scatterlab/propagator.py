@@ -16,6 +16,7 @@ from .spectral import (
     SPECTRAL,
     ComplexField,
     Grid1D,
+    _SQRT_2PI,
     _cis,
     _two_lanes,
     fourier_forward,
@@ -25,7 +26,6 @@ from .spectral import (
     to_physical,
 )
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
 _TWO_PI_LD = np.longdouble("6.283185307179586476925286766559005768")
 
 
@@ -116,7 +116,7 @@ def _bluestein_plan(n: int, x0: float, dx: float, xi0: float, dxi: float, m: int
     in_phase *= chirp[:n]
     out_phase = _linear_phase(-ld(x0) * ld(dxi), m)
     out_phase *= chirp[:m]
-    out_phase *= (dx / _SQRT_2PI) * np.exp(-1j * x0 * xi0)
+    out_phase *= (dx / _SQRT_2PI) * _unit_phase(-ld(x0) * ld(xi0), np.ones(1, int))
     plan = _BluesteinPlan(kernel_hat=kernel_hat, in_phase=in_phase, out_phase=out_phase)
     for arr in plan:
         arr.flags.writeable = False
@@ -136,38 +136,31 @@ def _apply_plan(plan: _BluesteinPlan, samples: list, buf: np.ndarray, rows: list
         np.multiply(plan.out_phase, conv[n - 1 : n - 1 + row.size], out=row)
 
 
-def spectrum_at(fields: Sequence[ComplexField], targets: np.ndarray) -> list[np.ndarray]:
+def spectrum_at(fields: Sequence[ComplexField], xi0: float, dxi: float, m: int) -> list[np.ndarray]:
     """
-    Evaluate each field's transform at the uniformly spaced frequencies
-    targets: for a physical field this is its normalized Fourier transform;
-    for a spectral field it is the band-limited (trigonometric) interpolant of
-    the samples.  The fields share one grid and one Bluestein plan; each row
-    is bitwise the value the field gives alone.  The sum computed is
-    (dx/sqrt(2*pi)) * sum_j phi_j e^{-i x_j xi}, in O((N+m) log(N+m)) per row,
-    through a chirp convolution of fast length L >= N + m - 1.
-    The plan evaluates at xi_k = xi[0] + k*dxi with dxi taken from the end
-    points; targets that drift from those points by more than 8 ulp of
-    max|xi| (linspace targets and grid rays stay within 3) raise ValueError.
-    This thread builds the plan; then the rows alternate between the two
-    lanes of spectral._two_lanes, each lane in its own buffer.  Buffers and
-    rows are allocated on this thread: glibc gives the worker a malloc arena
-    of its own, which cannot reuse memory freed here.
+    Evaluate each field's transform at the m frequencies xi0 + k*dxi,
+    k = 0 .. m-1: for a physical field its normalized Fourier transform, for
+    a spectral field the band-limited (trigonometric) interpolant of the
+    samples.  xi0 and dxi may be extended-precision scalars, as the rays'
+    geometry x/2t is; the plan reduces every phase in extended precision.
+    The fields share one grid and one Bluestein plan; each row is bitwise
+    the value the field gives alone.  The sum computed is
+    (dx/sqrt(2*pi)) * sum_j phi_j e^{-i x_j xi}, in O((N+m) log(N+m)) per
+    row, through a chirp convolution of fast length L >= N + m - 1.  This
+    thread builds the plan; then the rows alternate between the two lanes of
+    spectral._two_lanes, each lane in its own buffer.  Buffers and rows are
+    allocated on this thread: glibc gives the worker a malloc arena of its
+    own, which cannot reuse memory freed here.
     """
     fields = list(fields)
-    xi = np.atleast_1d(np.asarray(targets, dtype=float))
-    if not fields or not xi.size:
-        raise ValueError("spectrum_at needs at least one field and one target")
+    if not (fields and m >= 1 and np.isfinite(xi0) and np.isfinite(dxi)):
+        raise ValueError("spectrum_at needs a field, a finite start and step, and m >= 1 targets")
     g = require_same_grid(*fields)
     samples = [to_physical(f).samples for f in fields]
-    # the step from the end points: a per-step check would let drift build up
-    dxi = float(xi[-1] - xi[0]) / (xi.size - 1) if xi.size >= 2 else 0.0
-    drift = np.max(np.abs(xi - (xi[0] + np.arange(xi.size) * dxi)))
-    if not drift <= 8 * np.spacing(np.max(np.abs(xi))):  # NaN targets fail too
-        raise ValueError("spectrum_at requires uniformly spaced targets")
-    plan = _bluestein_plan(g.N, float(g.x[0]), g.dx, float(xi[0]), dxi, xi.size)
+    plan = _bluestein_plan(g.N, float(g.x[0]), g.dx, xi0, dxi, m)
     # one buffer per busy lane: a single field leaves the worker idle
     bufs = [np.empty_like(plan.kernel_hat) for _ in samples[:2]]
-    rows = [np.empty(xi.size, dtype=np.complex128) for _ in samples]
+    rows = [np.empty(m, dtype=np.complex128) for _ in samples]
     _two_lanes(_apply_plan, (plan, samples[::2], bufs[0], rows[::2]), (plan, samples[1::2], bufs[-1], rows[1::2]))
     return rows
 
@@ -178,19 +171,17 @@ def required_points_for_split(L: float, t: float) -> int:
     return n + (n % 2)
 
 
-def _ray_targets(grid: Grid1D, t: float) -> np.ndarray:
-    """The rays x/2t of the grid's nodes; FrequencyRangeError if any of them
-    lies past the band the grid resolves."""
-    targets = grid.x / (2.0 * t)
+def _check_rays(grid: Grid1D, t: float) -> None:
+    """FrequencyRangeError if a ray x/2t of the grid's nodes lies past the
+    band the grid resolves; the widest is the ray of x_0 = -L/2."""
     usable = float(grid.xi[-1])  # positive band edge; tighter than the negative one
-    needed = float(np.max(np.abs(targets)))
+    needed = grid.L / (4.0 * t)
     if needed > usable:
         raise FrequencyRangeError(
             f"ray evaluation needs |xi| <= {needed:.6g} but the grid resolves only "
             f"{usable:.6g}; enlarge N to >= {required_points_for_split(grid.L, t)} "
             f"(or reduce L)"
         )
-    return targets
 
 
 def leading_split(field: ComplexField, t: float) -> LeadingSplit:
@@ -203,8 +194,9 @@ def leading_split(field: ComplexField, t: float) -> LeadingSplit:
         raise ValueError("leading_split requires t >= 1")
     phys = to_physical(field)
     g = phys.grid
-    targets = _ray_targets(g, t)
-    (hat_vals,) = spectrum_at([phys], targets)
+    _check_rays(g, t)
+    two_t = 2 * np.longdouble(t)
+    (hat_vals,) = spectrum_at([phys], g.x[0] / two_t, g.dx / two_t, g.N)
     prefactor = (2j * t) ** (-0.5)
     lead = prefactor * np.exp(1j * g.x**2 / (4.0 * t)) * hat_vals
     evolved = free_evolve(phys, t)

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .propagator import FrequencyRangeError, _ray_targets, spectrum_at
+from .propagator import FrequencyRangeError, _check_rays, spectrum_at
 from .ratefit import RateFit, fit_rate
 from .remainder import (
     RESONANT_COEFF,
@@ -41,7 +41,6 @@ from .spectral import (
 # through exactly gives the provable 2*sqrt(2) (sharp constant: sqrt(2*pi)).
 L1_INTERP_CONSTANT = 2.0
 L1_INTERP_CONSTANT_SAFE = 2.0 * np.sqrt(2.0)
-CHAIN_CONSTANT_SAFE = float(np.sqrt(L1_INTERP_CONSTANT_SAFE))
 
 
 @dataclass(frozen=True)
@@ -333,16 +332,14 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
         edge = float(band.xi[-1])
         for i, t in enumerate(times):
             try:
-                targets = _ray_targets(grid, t)
+                _check_rays(grid, t)
             except FrequencyRangeError:
                 continue
-            lo, hi = np.searchsorted(targets, -edge), np.searchsorted(targets, edge, "right")
-            # the plan reads only the end points and the count; linspace keeps
-            # both, and keeps a narrow slice within spectrum_at's drift bound,
-            # which the rays of a grid whose nodes round at ulp(L/2) can exceed
-            inside = np.linspace(targets[lo], targets[hi - 1], hi - lo)
+            # the rays x_j/2t inside the band: x[lo]/2t + k dx/2t, in extended precision
+            lo, hi = np.searchsorted(grid.x, -2 * t * edge), np.searchsorted(grid.x, 2 * t * edge, "right")
+            two_t = 2 * np.longdouble(t)
             rows = np.zeros((4, grid.N), np.complex128)
-            np.stack(spectrum_at(limits, inside), out=rows[:, lo:hi])
+            np.stack(spectrum_at(limits, grid.x[lo] / two_t, grid.dx / two_t, hi - lo), out=rows[:, lo:hi])
             w_u, w_v, ray_gamma_u, ray_gamma_v = rows
             state = traj.snapshots[i]
             asym_u[i], asym_v[i] = _two_lanes(

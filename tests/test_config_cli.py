@@ -339,6 +339,33 @@ class TestShippedConfigs:
         lines = (out / "simulate_report.txt").read_text().splitlines()
         assert lines and all(line.startswith("[PASS]") for line in lines)
 
+    @pytest.mark.parametrize(
+        "command, expected",
+        [
+            (
+                "decay",
+                [
+                    "[FAIL] max-norm decay of u: 2 snapshots at t >= 10, fewer than 4",
+                    "[FAIL] max-norm decay of v: 2 snapshots at t >= 10, fewer than 4",
+                ],
+            ),
+            ("remainder", ["[FAIL] remainder decay: t = 1 .. 12 spans 1.08 decades, fewer than 1.5"]),
+        ],
+    )
+    def test_short_horizon_fails_with_a_report(self, tmp_path, capsys, command, expected):
+        # quick.cfg to t = 12: too short for the fits, which is a verdict
+        # (exit 1 and a report naming the shortfall), not a runtime error
+        text = (CONFIGS / "quick.cfg").read_text().replace("solver.t_end = 40", "solver.t_end = 12")
+        out = tmp_path / "out"
+        rc = main([command, "--config", str(write_config(tmp_path, text)), "--outdir", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err == ""
+        lines = (out / f"{command}_report.txt").read_text().splitlines()
+        assert captured.out.splitlines() == lines
+        assert lines[: len(expected)] == expected
+        # the remainder's bound-ratio line still reads the run
+        assert len(lines) == 2 and all(line.startswith(("[PASS]", "[FAIL]")) for line in lines)
+
     def test_remainder_reports_only_its_run(self, tmp_path, monkeypatch):
         # the verdict reads the run it is given: two lines, and no test
         # oracle (the O(N^3) quadrature) runs inside it

@@ -12,7 +12,7 @@ from numpy.fft import fft, ifft
 from scipy.fft import next_fast_len
 
 import scatterlab.propagator as propagator
-from scatterlab.propagator import FrequencyRangeError, _bluestein_plan, _linear_phase, _unit_phase
+from scatterlab.propagator import FrequencyRangeError, _bluestein_plan, _check_rays, _linear_phase, _unit_phase
 from scatterlab.spectral import to_physical
 
 
@@ -41,14 +41,30 @@ def direct_spectrum(field, targets):
     return np.exp(-1j * np.outer(targets, g.x)) @ to_physical(field).samples * (g.dx / np.sqrt(2 * np.pi))
 
 
-def one_lane_spectrum(fields, targets, length=None):
+def targets(xi0, dxi, m):
+    """The frequencies xi0 + k*dxi, k = 0 .. m-1, that spectrum_at evaluates at."""
+    return xi0 + dxi * np.arange(m)
+
+
+def spanning(lo, hi, m):
+    """The geometry (xi0, dxi, m) of m frequencies from lo to hi."""
+    return lo, (hi - lo) / (m - 1) if m > 1 else 0.0, m
+
+
+def rays(grid, t):
+    """The geometry of the rays x_j/2t of the grid's nodes, in extended
+    precision, as leading_split and the analysis pass it."""
+    two_t = 2 * np.longdouble(t)
+    return grid.x[0] / two_t, grid.dx / two_t, grid.N
+
+
+def one_lane_spectrum(fields, xi0, dxi, m, length=None):
     """Reference for spectrum_at's two lanes: the plan applied to one field
     after another, out of place, as a single-threaded loop does it.  With a
     length, the kernel is transformed again at that convolution length."""
     g = fields[0].grid
-    n, m = g.N, len(targets)
-    dxi = float(targets[-1] - targets[0]) / (m - 1)
-    plan = _bluestein_plan(n, float(g.x[0]), g.dx, float(targets[0]), dxi, m)
+    n = g.N
+    plan = _bluestein_plan(n, float(g.x[0]), g.dx, xi0, dxi, m)
     kernel_hat = plan.kernel_hat
     if length is not None:
         span = np.arange(1 - n, m)
@@ -172,29 +188,29 @@ class TestSpectrumAt:
         grid = sl.Grid1D(L=50.0, N=256)
         f = smooth_random(grid, 5)
         fh = sl.fourier_forward(f)
-        (vals,) = sl.spectrum_at([f], grid.xi)
+        (vals,) = sl.spectrum_at([f], grid.xi[0], grid.dxi, grid.N)
         assert np.max(np.abs(vals - fh.samples)) < 1e-12
 
     def test_bluestein_equals_direct(self):
         grid = sl.Grid1D(L=50.0, N=1024)
         f = smooth_random(grid, 6)
-        targets = np.linspace(-3.0, 3.0, 777)
-        a = direct_spectrum(f, targets)
-        (b,) = sl.spectrum_at([f], targets)
+        geometry = spanning(-3.0, 3.0, 777)
+        a = direct_spectrum(f, targets(*geometry))
+        (b,) = sl.spectrum_at([f], *geometry)
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     def test_spectral_input_interpolates(self):
         grid = sl.Grid1D(L=50.0, N=512)
         f = smooth_random(grid, 7)
         fh = sl.fourier_forward(f)
-        (vals,) = sl.spectrum_at([fh], grid.xi[100:110])
+        (vals,) = sl.spectrum_at([fh], grid.xi[100], grid.dxi, 10)
         assert np.max(np.abs(vals - fh.samples[100:110])) < 1e-12
 
     def test_single_target(self):
         grid = sl.Grid1D(L=50.0, N=256)
         f = smooth_random(grid, 8)
         for xi in (-1.3, 0.0, 2.0):
-            (val,) = sl.spectrum_at([f], [xi])
+            (val,) = sl.spectrum_at([f], xi, 0.0, 1)
             ref = direct_spectrum(f, [xi])
             assert val.shape == (1,)
             assert abs(val[0] - ref[0]) < 1e-13
@@ -216,16 +232,17 @@ class TestSpectrumAt:
         # the grid sets the sources: x0 = -L/2 and dx = L/n
         grid = sl.Grid1D(L=L, N=n)
         (f,) = noise_fields(grid, np.random.default_rng(seed), 1)
-        targets = np.linspace(xi0, xi0 + (m - 1) * dxi, m)
-        (row,) = sl.spectrum_at([f], targets)
+        (row,) = sl.spectrum_at([f], xi0, dxi, m)
         terms = grid.dx / np.sqrt(2 * np.pi) * np.sum(np.abs(to_physical(f).samples))
-        assert np.max(np.abs(row - direct_spectrum(f, targets))) <= 1e-12 * terms
+        assert np.max(np.abs(row - direct_spectrum(f, targets(xi0, dxi, m)))) <= 1e-12 * terms
 
-    def test_nonuniform_targets_rejected(self):
-        grid = sl.Grid1D(L=50.0, N=256)
-        f = smooth_random(grid, 8)
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            sl.spectrum_at([f], np.array([-1.0, -0.3, 0.11, 2.0]))
+    @pytest.mark.parametrize(
+        "xi0, dxi, m", [(np.nan, 0.1, 5), (0.0, np.inf, 5), (np.longdouble("inf"), 0.1, 5), (0.0, 0.1, 0)]
+    )
+    def test_rejects_nonfinite_geometry_and_no_targets(self, xi0, dxi, m):
+        f = smooth_random(sl.Grid1D(L=50.0, N=64), 8)
+        with pytest.raises(ValueError, match="spectrum_at needs"):
+            sl.spectrum_at([f], xi0, dxi, m)
 
 
 def count_plan_builds(monkeypatch):
@@ -245,17 +262,17 @@ def assert_rows_equal_single_calls(n, k, seed, m):
     rng = np.random.default_rng(seed)
     grid = sl.Grid1D(L=50.0, N=n)
     fields = noise_fields(grid, rng, k)
-    targets = np.linspace(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), m)
-    rows = sl.spectrum_at(fields, targets)
+    geometry = spanning(-rng.uniform(0.5, 3.0), rng.uniform(0.5, 3.0), m)
+    rows = sl.spectrum_at(fields, *geometry)
     assert len(rows) == k
     for f, row in zip(fields, rows):
-        assert np.array_equal(row, sl.spectrum_at([f], targets)[0])
+        assert np.array_equal(row, sl.spectrum_at([f], *geometry)[0])
         # the dense reference kernel has n*m entries: only small cases.  The
         # noise samples cancel in the sum, so round-off is measured against
         # the sum of the terms' moduli, which bounds every |row| entry
         if n * m <= 1 << 18:
             terms = grid.dx / np.sqrt(2 * np.pi) * np.sum(np.abs(to_physical(f).samples))
-            assert np.max(np.abs(row - direct_spectrum(f, targets))) <= 1e-12 * terms
+            assert np.max(np.abs(row - direct_spectrum(f, targets(*geometry)))) <= 1e-12 * terms
 
 
 class TestSeveralFields:
@@ -266,7 +283,7 @@ class TestSeveralFields:
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(1, 600),
     )
-    # linspace targets drift from targets[0] + k * (targets[1] - targets[0])
+    # the smallest grid under many targets
     @example(n=8, k=3, seed=4, m=511)
     @example(n=8, k=1, seed=2, m=583)
     @example(n=8, k=3, seed=58, m=556)
@@ -280,7 +297,7 @@ class TestSeveralFields:
     def test_single_field_gives_one_row(self):
         grid = sl.Grid1D(L=50.0, N=64)
         f = smooth_random(grid, 4)
-        rows = sl.spectrum_at([f], grid.xi[:5])
+        rows = sl.spectrum_at([f], grid.xi[0], grid.dxi, 5)
         assert isinstance(rows, list)
         assert len(rows) == 1 and rows[0].shape == (5,)
 
@@ -288,11 +305,9 @@ class TestSeveralFields:
         f = smooth_random(sl.Grid1D(L=50.0, N=64), 4)
         g = smooth_random(sl.Grid1D(L=50.0, N=128), 4)
         with pytest.raises(sl.GridMismatchError):
-            sl.spectrum_at([f, g], np.array([0.0, 1.0]))
+            sl.spectrum_at([f, g], 0.0, 1.0, 2)
         with pytest.raises(ValueError):
-            sl.spectrum_at([], np.array([0.0, 1.0]))
-        with pytest.raises(ValueError):
-            sl.spectrum_at([f], np.array([]))
+            sl.spectrum_at([], 0.0, 1.0, 2)
 
 
 class TestTwoLanes:
@@ -304,9 +319,9 @@ class TestTwoLanes:
         grid = sl.Grid1D(L=50.0, N=n)
         sides = ["physical", "spectral"] * 3
         fields = [sl.ComplexField(grid, [1, 1j] @ rng.normal(size=(2, n)), sides[i]) for i in range(k)]
-        targets = np.linspace(-2.0, 2.7, m)
-        rows = sl.spectrum_at(fields, targets)
-        want = one_lane_spectrum(fields, targets)
+        geometry = spanning(-2.0, 2.7, m)
+        rows = sl.spectrum_at(fields, *geometry)
+        want = one_lane_spectrum(fields, *geometry)
         assert len(rows) == k
         for row, ref in zip(rows, want):
             # views of the bits: array_equal takes -0 for +0
@@ -329,7 +344,7 @@ class TestTwoLanes:
 
         monkeypatch.setattr(propagator, "fft", failing_fft)
         with pytest.raises(RuntimeError, match="worker lane failed"):
-            sl.spectrum_at(fields, grid.x / 2.0)
+            sl.spectrum_at(fields, *rays(grid, 1.0))
 
 
 class TestBluesteinPlan:
@@ -339,9 +354,8 @@ class TestBluesteinPlan:
         builds = count_plan_builds(monkeypatch)
         results = []
         for t in (1.0, 3.0, 1.0):
-            targets = grid.x / (2.0 * t)
-            vals = np.array(sl.spectrum_at(fields, targets))
-            ref = np.array([direct_spectrum(f, targets) for f in fields])
+            vals = np.array(sl.spectrum_at(fields, *rays(grid, t)))
+            ref = np.array([direct_spectrum(f, grid.x / (2.0 * t)) for f in fields])
             assert vals.shape == (2, grid.N)
             assert np.max(np.abs(vals - ref)) < 1e-12 * np.max(np.abs(ref))
             results.append(vals)
@@ -352,7 +366,8 @@ class TestBluesteinPlan:
     @pytest.mark.parametrize("n, m", [(8, 1), (64, 40), (64, 150), (1024, 1024), (256, 3001)])
     def test_one_quadratic_table_on_the_calling_thread(self, monkeypatch, n, m):
         # the span chirp is the plan's one max(n, m)-long reduction; the
-        # linear phases reduce tables of about sqrt(n) and sqrt(m) entries
+        # linear phases reduce tables of about sqrt(n) and sqrt(m) entries,
+        # and the constant e^{-i x0 xi0} one entry
         grid = sl.Grid1D(L=50.0, N=n)
         tables = []
 
@@ -361,9 +376,9 @@ class TestBluesteinPlan:
             return _unit_phase(scale, index)
 
         monkeypatch.setattr(propagator, "_unit_phase", counting)
-        sl.spectrum_at([smooth_random(grid, 9), smooth_random(grid, 10)], np.linspace(-2.0, 2.5, m))
+        sl.spectrum_at([smooth_random(grid, 9), smooth_random(grid, 10)], *spanning(-2.0, 2.5, m))
         sizes = sorted(size for size, _ in tables)
-        assert sizes[-1] == max(n, m) and len(sizes) == 5
+        assert sizes[-1] == max(n, m) and len(sizes) == 6 and sizes[0] == 1
         assert sizes[-2] <= np.ceil(np.sqrt(max(n, m)))
         assert all(main for _, main in tables)
 
@@ -377,7 +392,7 @@ class TestBluesteinPlan:
     def test_no_plan_survives_the_call(self, monkeypatch):
         grid = sl.Grid1D(L=50.0, N=256)
         builds = count_plan_builds(monkeypatch)
-        sl.spectrum_at([smooth_random(grid, 9), smooth_random(grid, 10)], grid.x / 2.0)
+        sl.spectrum_at([smooth_random(grid, 9), smooth_random(grid, 10)], *rays(grid, 1.0))
         assert len(builds) == 1
         assert all(ref() is None for ref in builds[0])
 
@@ -391,29 +406,36 @@ class TestRayEngine:
         # n+m-1 = 2048 is a fast length and 2049 is just past it
         grid = sl.Grid1D(L=50.0, N=n)
         f = smooth_random(grid, 11)
-        targets = np.linspace(-2.5, 3.0, m)
-        a = direct_spectrum(f, targets)
-        (b,) = sl.spectrum_at([f], targets)
+        geometry = spanning(-2.5, 3.0, m)
+        a = direct_spectrum(f, targets(*geometry))
+        (b,) = sl.spectrum_at([f], *geometry)
         assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(a))
 
     @pytest.mark.parametrize("n, m", [(64, 40), (64, 150), (1024, 1024), (64, 20000)])
     def test_plan_arrays_match_direct_formulas(self, n, m):
-        x0, dx, xi0, dxi = -3.2, 0.1, -2.0, 0.05
-        plan = _bluestein_plan(n, x0, dx, xi0, dxi, m)
-        ld = np.longdouble
-        theta = ld(dx) * ld(dxi)
-        j = np.arange(n)
-        k = np.arange(m)
-        span = np.arange(-(n - 1), m)
-        # against each entry's whole angle, reduced once: the plan multiplies
-        # three unit phases (and rounds x0 * xi0 to a double)
-        angle = -ld(dx) * ld(xi0) * j - theta / 2 * (j * j)
-        assert np.max(np.abs(plan.in_phase - cis_reduced(angle))) <= phase_bound(angle)
-        angle = -ld(x0) * (ld(xi0) + ld(dxi) * k) - theta / 2 * (k * k)
-        deviation = np.abs(plan.out_phase / (dx / np.sqrt(2 * np.pi)) - cis_reduced(angle))
-        assert np.max(deviation) <= phase_bound(angle) + np.spacing(x0 * xi0)
-        kernel = _unit_phase(theta / 2, span * span)
-        assert np.array_equal(plan.kernel_hat, fft(kernel, next_fast_len(span.size)))
+        geometries = [
+            (-3.2, 0.1, -2.0, 0.05),
+            # the rays of L = 475.2, N = 4096 at the schedule's t = 2^(16/4),
+            # in extended precision: x0 xi0 = 1764 rad, whose double carries
+            # a phase error up to ulp(1764) = 2.3e-13
+            (-237.6, 475.2 / 4096, *rays(sl.Grid1D(L=475.2, N=4096), 15.999999999999993)[:2]),
+        ]
+        for x0, dx, xi0, dxi in geometries:
+            plan = _bluestein_plan(n, x0, dx, xi0, dxi, m)
+            ld = np.longdouble
+            theta = ld(dx) * ld(dxi)
+            j = np.arange(n)
+            k = np.arange(m)
+            span = np.arange(-(n - 1), m)
+            # against each entry's whole angle, reduced once: the plan multiplies
+            # three unit phases into in_phase and four into out_phase
+            angle = -ld(dx) * ld(xi0) * j - theta / 2 * (j * j)
+            assert np.max(np.abs(plan.in_phase - cis_reduced(angle))) <= phase_bound(angle)
+            angle = -ld(x0) * (ld(xi0) + ld(dxi) * k) - theta / 2 * (k * k)
+            deviation = np.abs(plan.out_phase / (dx / np.sqrt(2 * np.pi)) - cis_reduced(angle))
+            assert np.max(deviation) <= phase_bound(angle)
+            kernel = _unit_phase(theta / 2, span * span)
+            assert np.array_equal(plan.kernel_hat, fft(kernel, next_fast_len(span.size)))
 
     def test_rays_near_linear_convolution_length(self):
         # the convolution is n + m - 1 long, not the linear 2n + m - 2: on the
@@ -422,11 +444,11 @@ class TestRayEngine:
         grid = sl.Grid1D(L=50.0, N=n)
         t = np.nextafter(grid.L / (4.0 * grid.xi[-1]), np.inf)
         with pytest.raises(FrequencyRangeError):
-            propagator._ray_targets(grid, t * (1 - 1e-9))
-        targets = propagator._ray_targets(grid, t)
+            _check_rays(grid, t * (1 - 1e-9))
+        _check_rays(grid, t)
         fields = noise_fields(grid, np.random.default_rng(21), 4)
-        rows = sl.spectrum_at(fields, targets)
-        old = one_lane_spectrum(fields, targets, length=next_fast_len(2 * n + targets.size - 2))
+        rows = sl.spectrum_at(fields, *rays(grid, t))
+        old = one_lane_spectrum(fields, *rays(grid, t), length=next_fast_len(3 * n - 2))
         assert old[0].size == rows[0].size == n
         for f, row, ref in zip(fields, rows, old):
             terms = grid.dx / np.sqrt(2 * np.pi) * np.sum(np.abs(to_physical(f).samples))
@@ -441,10 +463,10 @@ class TestRayEngine:
         n = 1 << 14
         grid = sl.Grid1D(L=50.0, N=n)
         fields = noise_fields(grid, np.random.default_rng(22), 4)
-        targets = np.linspace(-2.0, 2.7, n)
+        geometry = spanning(-2.0, 2.7, n)
         tracemalloc.start()
         try:
-            sl.spectrum_at(fields, targets)
+            sl.spectrum_at(fields, *geometry)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -454,7 +476,7 @@ class TestRayEngine:
         grid = sl.Grid1D(L=50.0, N=256)
         f = smooth_random(grid, 9)
         builds = count_plan_builds(monkeypatch)
-        sl.spectrum_at([f], grid.x / 2.0)
+        sl.spectrum_at([f], *rays(grid, 1.0))
         seen = []
 
         def watching_fft(*args, **kwargs):
@@ -462,7 +484,7 @@ class TestRayEngine:
             return fft(*args, **kwargs)
 
         monkeypatch.setattr(propagator, "fft", watching_fft)
-        sl.spectrum_at([f], grid.x / 6.0)
+        sl.spectrum_at([f], *rays(grid, 3.0))
         assert len(builds) == 2
         assert seen and all(seen)
 
@@ -477,7 +499,7 @@ class TestRayEngine:
             return out
 
         monkeypatch.setattr(propagator, "fft", watching_fft)
-        sl.spectrum_at(fields, grid.x / 2.0)
+        sl.spectrum_at(fields, *rays(grid, 1.0))
         # the plan's kernel transform on this thread, then one per row; every
         # transform overwrites its input, and each lane reuses its one buffer
         assert len(calls) == 4

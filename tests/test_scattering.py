@@ -11,12 +11,12 @@ import scatterlab.propagator as propagator
 import scatterlab.remainder as remainder
 import scatterlab.scattering as scattering
 from scatterlab.remainder import RESONANT_COEFF, TrilinearInput
-from scatterlab.propagator import _ray_targets
+from scatterlab.propagator import _check_rays
 from scatterlab.scattering import _cauchy_pairs, _closed_form_gap
 from scatterlab.solver import LIMIT_FLOOR
 from scatterlab.spectral import _cis
 from scipy.fft import next_fast_len
-from conftest import coarsen
+from conftest import CONFIGS, coarsen
 
 
 def zero_trajectory(t_end=16.0):
@@ -82,24 +82,42 @@ def ray_band(grid, spectra):
     return sl.Grid1D(grid.L, min(grid.N, max(8, 2 * next_fast_len(k + 1))))
 
 
+def band_fields(grid, spectra):
+    """The spectra cut to their ray band, as physical fields on the band grid."""
+    band = ray_band(grid, spectra)
+    cut = slice((grid.N - band.N) // 2, (grid.N + band.N) // 2)
+    return [sl.fourier_inverse(sl.ComplexField(band, s[cut], "spectral")) for s in spectra]
+
+
+def in_band(grid, t, band):
+    """Which rays x_j/2t of the grid's nodes lie in the band: |x_j| <= 2t * edge."""
+    return np.abs(grid.x) <= 2 * t * band.xi[-1]
+
+
+def ray_geometry(grid, t, inside):
+    """(xi0, dxi, m) of the contiguous rays x_j/2t where inside holds, in
+    extended precision: x_lo/2t + k dx/2t."""
+    lo, hi = np.flatnonzero(inside)[[0, -1]]
+    two_t = 2 * np.longdouble(t)
+    return grid.x[lo] / two_t, grid.dx / two_t, hi + 1 - lo
+
+
 def band_rows(grid, spectra, t, single=False):
     """The spectra's interpolants along the rays x/2t inside their ray band,
     0 beyond it, as one (len(spectra), N) block: spectrum_at of the band
     grid's physical limits on the in-band rays, one call for all spectra
-    (single=False) or one per spectrum, at linspace targets with the end
-    points of those rays."""
-    band = ray_band(grid, spectra)
-    cut = slice((grid.N - band.N) // 2, (grid.N + band.N) // 2)
-    fields = [sl.fourier_inverse(sl.ComplexField(band, s[cut], "spectral")) for s in spectra]
-    targets = _ray_targets(grid, t)
-    inside = np.abs(targets) <= band.xi[-1]
-    rays = np.linspace(targets[inside][0], targets[inside][-1], np.count_nonzero(inside))
+    (single=False) or one per spectrum.  FrequencyRangeError if the grid's
+    rays leave the grid's band."""
+    _check_rays(grid, t)
+    fields = band_fields(grid, spectra)
+    inside = in_band(grid, t, fields[0].grid)
+    geometry = ray_geometry(grid, t, inside)
     rows = np.zeros((len(spectra), grid.N), dtype=complex)
     if single:
         for row, field in zip(rows, fields):
-            row[inside] = sl.spectrum_at([field], rays)[0]
+            row[inside] = sl.spectrum_at([field], *geometry)[0]
     else:
-        rows[:, inside] = sl.spectrum_at(fields, rays)
+        rows[:, inside] = sl.spectrum_at(fields, *geometry)
     return rows
 
 
@@ -681,7 +699,7 @@ class TestAsymptoticResidual:
         rejected = []
         for t in traj.times:
             try:
-                _ray_targets(traj.grid, t)
+                _check_rays(traj.grid, t)
                 rejected.append(False)
             except sl.FrequencyRangeError:
                 rejected.append(True)
@@ -689,7 +707,7 @@ class TestAsymptoticResidual:
         assert np.array_equal(np.isnan(analysis.asym_u), rejected)
         assert np.array_equal(np.isnan(analysis.asym_v), rejected)
         with pytest.raises(sl.FrequencyRangeError, match="enlarge N"):
-            _ray_targets(traj.grid, 1.0)
+            _check_rays(traj.grid, 1.0)
 
 
 def limit_spectra(analysis):
@@ -723,10 +741,10 @@ class TestRayAnalysis:
             plans.append(args)
             return plan(*args)
 
-        def counting(fields, targets):
+        def counting(fields, *geometry):
             alive = sum(ref() is not None for ref in spectra)
             built = len(plans)
-            out = sl.spectrum_at(fields, targets)
+            out = sl.spectrum_at(fields, *geometry)
             calls.append((len(out), len(plans) - built, alive))
             spectra.extend(weakref.ref(row) for row in out)
             return out
@@ -744,7 +762,7 @@ class TestRayAnalysis:
         # each plan is built for the band's points and the rays inside it
         band = ray_band(traj.grid, limit_spectra(analysis))
         assert band.N < traj.grid.N
-        expected = [(band.N, np.count_nonzero(np.abs(_ray_targets(traj.grid, t)) <= band.xi[-1])) for t in usable]
+        expected = [(band.N, np.count_nonzero(in_band(traj.grid, t, band))) for t in usable]
         assert [(args[0], args[-1]) for args in plans] == expected
         assert expected[0][1] < traj.grid.N  # the first usable time's rays pass the band
 
@@ -782,15 +800,16 @@ def gap_rows(traj, monkeypatch):
 def full_grid_rows(traj, analysis, i):
     """Rows of the full-grid evaluation at snapshot i, in gap_rows' layout."""
     fields = [sl.ComplexField(traj.grid, s, "spectral") for s in limit_spectra(analysis)]
-    w_u, w_v, gamma_u, gamma_v = sl.spectrum_at(fields, _ray_targets(traj.grid, traj.times[i]))
+    every_ray = np.ones(traj.grid.N, dtype=bool)
+    w_u, w_v, gamma_u, gamma_v = sl.spectrum_at(fields, *ray_geometry(traj.grid, traj.times[i], every_ray))
     return {"u": (w_u, w_v, gamma_v), "v": (w_v, w_u, gamma_u)}
 
 
 class TestRayBand:
     @pytest.mark.parametrize(
         "case, w_bound, gamma_bound, gap_bound",
-        # measured: 3.7e-13, 1.5e-17, 1.8e-14 / 3.1e-13, 3.0e-17, 6.3e-14 /
-        # 3.8e-13, 2.4e-14, 1.0e-13 / 5.2e-14, 2.8e-18, 1.0e-14
+        # measured: 1.3e-14, 1.5e-17, 1.5e-15 / 6.8e-15, 3.0e-17, 3.0e-16 /
+        # 1.6e-15, 1.4e-15, 1.6e-16 / 5.2e-14, 2.8e-18, 1.0e-14
         [
             ("free", 1e-12, 5e-17, 5e-14),
             ("free_offgrid", 1e-12, 1e-16, 2e-13),
@@ -801,10 +820,8 @@ class TestRayBand:
     def test_rows_agree_with_full_grid(self, case, w_bound, gamma_bound, gap_bound, monkeypatch, request):
         # the band rows against spectrum_at of the same limits on the whole
         # grid, relative to the largest |W|: W rows, Gamma rows (over |W|^2)
-        # and the gaps.  free_offgrid's nodes (L = 475.2) round at ulp(L/2),
-        # so a narrow slice of its rays drifts from uniform by more than 8 ulp
-        # of its largest (spectrum_at's bound): the analysis passes linspace
-        # rays between the same end points
+        # and the gaps.  free_offgrid's grid (L = 475.2) has nodes that round
+        # at ulp(L/2)
         if case == "linear":
             traj = request.getfixturevalue("linear_traj")
         elif case == "coupled":
@@ -855,6 +872,59 @@ class TestRayBand:
             for c in "uv":
                 for got, want in zip(rows[i, c], full[c]):
                     assert np.array_equal(bits(got), bits(want))
+
+
+def direct_sums(fields, xi):
+    """(dx/sqrt(2 pi)) sum_j phi_j e^{-i x_j xi} of each physical field at
+    the extended-precision frequencies xi, with the sources x_j = x_0 + j dx
+    and every phase reduced mod 2 pi in extended precision; 1024 frequencies
+    at a time."""
+    ld = np.longdouble
+    g = fields[0].grid
+    x = ld(g.x[0]) + ld(g.dx) * np.arange(g.N, dtype=ld)
+    two_pi = 8 * np.arctan(ld(1))
+    phi = np.array([f.samples for f in fields])
+    out = np.empty((len(fields), xi.size), dtype=complex)
+    for s in range(0, xi.size, 1024):
+        angle = np.mod(-np.multiply.outer(xi[s : s + 1024], x), two_pi)
+        out[:, s : s + 1024] = phi @ np.exp(1j * angle.astype(float)).T
+    return out * (g.dx / np.sqrt(2 * np.pi))
+
+
+class TestRayAccuracy:
+    def test_rows_match_extended_precision_sums_at_the_rays(self, monkeypatch):
+        # on the quick solve, every row a closed-form gap receives is within
+        # 1e-14 of the largest |W| (Gamma rows: of its square) of the direct
+        # sum of the band limits at the rays x_j/2t, x_j = -L/2 + j dx, all
+        # in extended precision; at every usable time, inexact 2^(k/4) ones
+        # included.  Rays past the band read exactly 0.  Measured: 1.6e-15
+        # for W and 7e-17 for Gamma
+        cfg = sl.parse_config(CONFIGS / "quick.cfg")
+        _, params, u1, v1 = sl.build_experiment(cfg)
+        schedule = sl.geometric_schedule(cfg.t_end, cfg.schedule_ratio)
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params)
+        analysis, rows = gap_rows(traj, monkeypatch)
+        grid = traj.grid
+        usable = np.flatnonzero(np.isfinite(analysis.asym_u))
+        assert len(usable) >= 8 and set(rows) == {(i, c) for i in usable for c in "uv"}
+        times = traj.times[usable]
+        assert any(0 < abs(t - 2.0 ** round(np.log2(t))) <= 1e-12 * t for t in times)
+        fields = band_fields(grid, limit_spectra(analysis))
+        band = fields[0].grid
+        assert band.N < grid.N
+        peak = max(np.max(np.abs(analysis.est_u.W.samples)), np.max(np.abs(analysis.est_v.W.samples)))
+        nodes = np.longdouble(grid.x[0]) + np.longdouble(grid.dx) * np.arange(grid.N, dtype=np.longdouble)
+        w_dev = gamma_dev = 0.0
+        for i, t in zip(usable, times):
+            inside = in_band(grid, t, band)
+            w_u, w_v, gamma_u, gamma_v = direct_sums(fields, nodes[inside] / (2 * np.longdouble(t)))
+            for c, want in (("u", (w_u, w_v, gamma_v)), ("v", (w_v, w_u, gamma_u))):
+                own, other, gamma = rows[i, c]
+                assert not (np.any(own[~inside]) or np.any(other[~inside]) or np.any(gamma[~inside]))
+                w_dev = max(w_dev, np.max(np.abs(own[inside] - want[0])), np.max(np.abs(other[inside] - want[1])))
+                gamma_dev = max(gamma_dev, np.max(np.abs(gamma[inside] - want[2])))
+        assert w_dev <= 1e-14 * peak, w_dev / peak
+        assert gamma_dev <= 1e-14 * peak**2, gamma_dev / peak**2
 
 
 class TestInterpolationPairs:
