@@ -16,6 +16,7 @@ including an output directory that cannot be created and a non-UTF-8 config.
 from __future__ import annotations
 
 import argparse
+import statistics
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -135,7 +136,7 @@ def cmd_remainder(cfg, traj, outdir: Path) -> list[str]:
         e = report.fit.exponent
         decay = _line(e <= REMAINDER_SLOPE_MAX, "remainder decay", f"exponent {e:.4f} <= {REMAINDER_SLOPE_MAX}")
     finite = report.bound_ratios[np.isfinite(report.bound_ratios)]
-    spread = float(np.max(finite) / np.median(finite)) if finite.size else float("nan")
+    spread = float(np.max(finite) / statistics.median(finite.tolist())) if finite.size else float("nan")
     return [
         decay,
         _line(

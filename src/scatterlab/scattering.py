@@ -228,19 +228,23 @@ def phase_offset(times: np.ndarray, rows) -> np.ndarray:
 
 
 def _closed_form_gap(
-    actual: ComplexField, t: float, w_own: np.ndarray, w_other: np.ndarray, gamma_other: np.ndarray
+    actual: ComplexField, t: float, lo: int, hi: int, w_own: np.ndarray, w_other: np.ndarray, gamma_other: np.ndarray
 ) -> float:
     """
     Max-norm distance between the field actual at time t and the closed form
     (2it)^{-1/2} W(x/2t) exp(i x^2/4t - i c (|W_other|^2 ln t + Gamma))
     with c = RESONANT_COEFF, from W_own, W_other and Gamma_other evaluated
-    along the rays x/2t by band-limited interpolation.
+    along the rays x_j/2t of the window lo <= j < hi by band-limited
+    interpolation.  The closed form is 0 outside the window, where the gap
+    is |actual| itself.
     """
-    phase = actual.grid.x**2 / (4.0 * t) - RESONANT_COEFF * (
+    phase = actual.grid.x[lo:hi] ** 2 / (4.0 * t) - RESONANT_COEFF * (
         np.abs(w_other) ** 2 * np.log(t) + gamma_other.real
     )
     closed = (2j * t) ** (-0.5) * w_own * _cis(phase)
-    return float(np.max(np.abs(actual.samples - closed)))
+    samples = actual.samples
+    gaps = np.abs(samples[lo:hi] - closed), np.abs(samples[:lo]), np.abs(samples[hi:])
+    return float(np.max([np.max(gap, initial=0.0) for gap in gaps]))
 
 
 def interpolation_pairs(field: ComplexField, n: int) -> dict[str, tuple[float, float]]:
@@ -304,7 +308,8 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
     window or a finer frequency grid degrade to None/NaN rather than fail.
     The ray pass evaluates the limits on their band: the same L and the
     smallest even fast length, at most N, whose centred frequencies hold
-    each limit above LIMIT_FLOOR of its own peak.  Rays beyond it read 0."""
+    each limit above LIMIT_FLOOR of its own peak; the closed form is 0 on
+    the rays beyond it, so only the window of rays inside it is evaluated."""
     w_f, w_g = corrected_spectra(traj)[:2]  # drops the phase accumulators
     times = traj.times
     try:
@@ -338,14 +343,14 @@ def analyze_trajectory(traj: Trajectory, with_asymptotic: bool = True) -> Trajec
             # the rays x_j/2t inside the band: x[lo]/2t + k dx/2t, in extended precision
             lo, hi = np.searchsorted(grid.x, -2 * t * edge), np.searchsorted(grid.x, 2 * t * edge, "right")
             two_t = 2 * np.longdouble(t)
-            rows = np.zeros((4, grid.N), np.complex128)
-            np.stack(spectrum_at(limits, grid.x[lo] / two_t, grid.dx / two_t, hi - lo), out=rows[:, lo:hi])
-            w_u, w_v, ray_gamma_u, ray_gamma_v = rows
+            w_u, w_v, ray_gamma_u, ray_gamma_v = spectrum_at(limits, grid.x[lo] / two_t, grid.dx / two_t, hi - lo)
             state = traj.snapshots[i]
             asym_u[i], asym_v[i] = _two_lanes(
-                _closed_form_gap, (state.u, t, w_u, w_v, ray_gamma_v), (state.v, t, w_v, w_u, ray_gamma_u)
+                _closed_form_gap,
+                (state.u, t, lo, hi, w_u, w_v, ray_gamma_v),
+                (state.v, t, lo, hi, w_v, w_u, ray_gamma_u),
             )
-            del rows, w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
+            del w_u, w_v, ray_gamma_u, ray_gamma_v  # before the next time's spectra
     return TrajectoryAnalysis(
         times=times,
         est_u=est_u,

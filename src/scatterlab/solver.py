@@ -261,11 +261,14 @@ def evolve(
     """
     if abs(initial.t - 1.0) > 1e-12:
         raise ValueError("initial state must sit at t = 1")
-    if t_end <= 1.0:
+    if not t_end > 1.0:
         raise ValueError("t_end must exceed 1")
-    if dt <= 0:
+    if not dt > 0:
         raise ValueError("dt must be positive")
-    times = np.unique(np.concatenate([[1.0], np.asarray(schedule, dtype=float)]))
+    schedule = np.asarray(schedule, dtype=float)
+    if not np.all(np.isfinite(schedule)):
+        raise ValueError(f"schedule entries must be finite, got {schedule.tolist()}")
+    times = np.array(sorted({1.0, *schedule.tolist()}))
     if times[0] < 1.0 or times[-1] > t_end * (1 + 1e-12):
         raise ValueError("schedule must lie inside [1, t_end]")
     check_domain_for_horizon(initial.u, initial.v, t_end)

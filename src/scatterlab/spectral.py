@@ -96,9 +96,22 @@ class Grid1D:
         return self.x if side == PHYSICAL else self.xi
 
 
+def _read_only(arr) -> bool:
+    """Whether arr is a complex128 ndarray that nothing can write through:
+    neither it nor the array it views is writeable."""
+    return (
+        isinstance(arr, np.ndarray)
+        and arr.dtype == np.complex128
+        and not arr.flags.writeable
+        and not (isinstance(arr.base, np.ndarray) and arr.base.flags.writeable)
+    )
+
+
 @dataclass(frozen=True)
 class ComplexField:
-    """Complex samples of one function on a Grid1D, tagged with its side."""
+    """Complex samples of one function on a Grid1D, tagged with its side.
+    Read-only complex128 samples are kept as given; anything else, every
+    writeable array included, is copied and the copy made read-only."""
 
     grid: Grid1D
     samples: np.ndarray
@@ -107,10 +120,12 @@ class ComplexField:
     def __post_init__(self) -> None:
         if self.side not in (PHYSICAL, SPECTRAL):
             raise ValueError(f"unknown side {self.side!r}")
-        arr = np.array(self.samples, dtype=np.complex128)
+        arr = self.samples
+        if not _read_only(arr):
+            arr = np.array(arr, dtype=np.complex128)
+            arr.flags.writeable = False
         if arr.shape != (self.grid.N,):
             raise ValueError("sample count must equal grid.N")
-        arr.flags.writeable = False
         object.__setattr__(self, "samples", arr)
 
     def with_samples(self, samples: np.ndarray) -> "ComplexField":
@@ -155,6 +170,7 @@ def fourier_forward(field: ComplexField) -> ComplexField:
     field.require_side(PHYSICAL)
     g = field.grid
     out = (g.dx / _SQRT_2PI) * fftshift(fft(field.samples)) * g._sign
+    out.flags.writeable = False  # fresh: the field keeps it
     return ComplexField(g, out, SPECTRAL)
 
 
@@ -163,6 +179,7 @@ def fourier_inverse(field: ComplexField) -> ComplexField:
     field.require_side(SPECTRAL)
     g = field.grid
     out = (g.N * g.dxi / _SQRT_2PI) * ifft(ifftshift(field.samples * g._sign))
+    out.flags.writeable = False  # fresh: the field keeps it
     return ComplexField(g, out, PHYSICAL)
 
 

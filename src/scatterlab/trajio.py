@@ -57,6 +57,8 @@ def save_trajectory(traj: Trajectory, path) -> None:
 
 
 def load_trajectory(path, dt: float = float("nan")) -> Trajectory:
+    """The trajectory saved at path; its samples are read-only views of the
+    file's bytes, which the fields keep without a copy."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError("file too short for a snapshot header")

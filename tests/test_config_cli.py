@@ -217,6 +217,21 @@ class TestCli:
         done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
         assert done.stdout.splitlines()[-1] == "0 []"
 
+    def test_no_numpy_ma_at_run_time(self, tmp_path):
+        # numpy imports numpy.ma on the first np.unique or np.median; no
+        # command may pay for it.  A fresh interpreter runs all five
+        path = write_config(tmp_path, GOOD_CONFIG.replace("grid.N = 4096", "grid.N = 1024"))
+        script = (
+            "import sys\n"
+            "from scatterlab.cli import _COMMANDS, main\n"
+            f"rcs = [main([c, '--config', {str(path)!r}, '--outdir', {str(tmp_path)!r} + '/' + c]) for c in _COMMANDS]\n"
+            "print(sorted(_COMMANDS), rcs, 'numpy.ma' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+        done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+        commands = ["asymptotic", "decay", "remainder", "scattering", "simulate"]
+        assert done.stdout.splitlines()[-1] == f"{commands} [0, 0, 0, 0, 0] False"
+
     @pytest.mark.parametrize("place", ["existing file", "below a file"])
     def test_unusable_outdir_exits_2_before_solve(self, tmp_path, capsys, monkeypatch, place):
         blocker = tmp_path / "blocker"

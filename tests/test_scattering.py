@@ -103,22 +103,29 @@ def ray_geometry(grid, t, inside):
 
 
 def band_rows(grid, spectra, t, single=False):
-    """The spectra's interpolants along the rays x/2t inside their ray band,
-    0 beyond it, as one (len(spectra), N) block: spectrum_at of the band
-    grid's physical limits on the in-band rays, one call for all spectra
+    """The window lo:hi of the rays x_j/2t inside the spectra's ray band, and
+    the spectra's interpolants along those rays as one (len(spectra),
+    hi - lo) block: (lo, hi, block).  spectrum_at of the band grid's
+    physical limits on the in-band rays, one call for all spectra
     (single=False) or one per spectrum.  FrequencyRangeError if the grid's
     rays leave the grid's band."""
     _check_rays(grid, t)
     fields = band_fields(grid, spectra)
     inside = in_band(grid, t, fields[0].grid)
     geometry = ray_geometry(grid, t, inside)
-    rows = np.zeros((len(spectra), grid.N), dtype=complex)
     if single:
-        for row, field in zip(rows, fields):
-            row[inside] = sl.spectrum_at([field], *geometry)[0]
+        rows = np.array([sl.spectrum_at([field], *geometry)[0] for field in fields])
     else:
-        rows[:, inside] = sl.spectrum_at(fields, *geometry)
-    return rows
+        rows = np.array(sl.spectrum_at(fields, *geometry))
+    lo = int(np.flatnonzero(inside)[0])
+    return lo, lo + geometry[2], rows
+
+
+def zero_padded(grid, lo, hi, rows):
+    """Rows on the window lo:hi of rays as N-point rows, 0 outside it."""
+    out = np.zeros((len(rows), grid.N), dtype=complex)
+    out[:, lo:hi] = rows
+    return out
 
 
 class TestProfile:
@@ -495,10 +502,10 @@ def log_trapezoid_rows(times, squares):
 def sequential_analysis(traj):
     """The analysis on one thread from whole blocks: the profile block, each
     side's (M, N) squares and trapezoid, np.exp corrections, the offset
-    block's last row as Gamma, band_rows for the rays and np.exp in the
-    closed form.  Returns the corrected sides, ((values, quadrature error)
-    of u, of v), the (W, Gamma) of u and of v, and the two closed-form gap
-    series."""
+    block's last row as Gamma, band_rows zero-padded to N points for the
+    rays and np.exp in the closed form over all N.  Returns the corrected
+    sides, ((values, quadrature error) of u, of v), the (W, Gamma) of u and
+    of v, and the two closed-form gap series."""
     times = traj.times
     backs = [_cis(s.t * traj.grid.xi**2) for s in traj.snapshots]
     block = np.array(
@@ -524,9 +531,10 @@ def sequential_analysis(traj):
     gaps = np.full((2, len(times)), np.nan)
     for i, (t, state) in enumerate(zip(times, traj.snapshots)):
         try:
-            w_u, w_v, ray_gamma_u, ray_gamma_v = band_rows(traj.grid, [W_u, W_v, gamma_u, gamma_v], t)
+            window = band_rows(traj.grid, [W_u, W_v, gamma_u, gamma_v], t)
         except sl.FrequencyRangeError:
             continue
+        w_u, w_v, ray_gamma_u, ray_gamma_v = zero_padded(traj.grid, *window)
         for k, (actual, own, other, gamma) in enumerate(
             ((state.u, w_u, w_v, ray_gamma_v), (state.v, w_v, w_u, ray_gamma_u))
         ):
@@ -726,10 +734,10 @@ class TestRayAnalysis:
         assert np.array_equal(usable, np.isfinite(analysis.asym_v))
         for i in np.nonzero(usable)[0]:
             t = traj.times[i]
-            w_u, w_v, gamma_u, gamma_v = band_rows(traj.grid, limit_spectra(analysis), t, single=True)
+            lo, hi, (w_u, w_v, gamma_u, gamma_v) = band_rows(traj.grid, limit_spectra(analysis), t, single=True)
             state = traj.snapshots[i]
-            assert _closed_form_gap(state.u, t, w_u, w_v, gamma_v) == analysis.asym_u[i]
-            assert _closed_form_gap(state.v, t, w_v, w_u, gamma_u) == analysis.asym_v[i]
+            assert _closed_form_gap(state.u, t, lo, hi, w_u, w_v, gamma_v) == analysis.asym_u[i]
+            assert _closed_form_gap(state.v, t, lo, hi, w_v, w_u, gamma_u) == analysis.asym_v[i]
 
     def test_four_spectra_per_time(self, monkeypatch):
         traj = free_pair_trajectory(t_end=32.0, L=700.0, N=4096)
@@ -783,15 +791,16 @@ class TestRayAnalysis:
 
 
 def gap_rows(traj, monkeypatch):
-    """The analysis of traj, and the rows each closed-form gap received:
-    {(i, component): (own W, other W, other Gamma)} for snapshot i."""
+    """The analysis of traj, and what each closed-form gap received:
+    {(i, component): (lo, hi, own W, other W, other Gamma)} for snapshot i,
+    the rows on the window lo:hi of rays."""
     rows = {}
     work = scattering._closed_form_gap
 
-    def recording(actual, t, w_own, w_other, gamma_other):
+    def recording(actual, t, lo, hi, w_own, w_other, gamma_other):
         i = int(np.flatnonzero(traj.times == t)[0])
-        rows[i, "u" if actual is traj.snapshots[i].u else "v"] = (w_own, w_other, gamma_other)
-        return work(actual, t, w_own, w_other, gamma_other)
+        rows[i, "u" if actual is traj.snapshots[i].u else "v"] = (lo, hi, w_own, w_other, gamma_other)
+        return work(actual, t, lo, hi, w_own, w_other, gamma_other)
 
     monkeypatch.setattr(scattering, "_closed_form_gap", recording)
     return sl.analyze_trajectory(traj), rows
@@ -840,18 +849,20 @@ class TestRayBand:
             full = full_grid_rows(traj, analysis, i)
             state, t = traj.snapshots[i], traj.times[i]
             for c, asym in (("u", analysis.asym_u), ("v", analysis.asym_v)):
-                own, other, gamma = rows[i, c]
+                # the window's rows, 0 on the rays outside it
+                lo, hi, *window = rows[i, c]
+                own, other, gamma = zero_padded(traj.grid, lo, hi, window)
                 w_dev = max(w_dev, np.max(np.abs(own - full[c][0])), np.max(np.abs(other - full[c][1])))
                 gamma_dev = max(gamma_dev, np.max(np.abs(gamma - full[c][2])))
-                gap_dev = max(gap_dev, abs(asym[i] - _closed_form_gap(getattr(state, c), t, *full[c])))
+                gap_dev = max(gap_dev, abs(asym[i] - _closed_form_gap(getattr(state, c), t, 0, traj.grid.N, *full[c])))
         assert w_dev <= w_bound * scale
         assert gamma_dev <= gamma_bound * scale**2
         assert gap_dev <= gap_bound * scale
 
     def test_full_band_is_the_full_grid(self, monkeypatch):
         # at N = 1800 the limits' spectra exceed LIMIT_FLOOR of their peaks
-        # up to the band edge: the band is the grid, and every row is
-        # bitwise the full-grid evaluation's
+        # up to the band edge: the band is the grid, every window is all N
+        # rays, and every row is bitwise the full-grid evaluation's
         traj = free_pair_trajectory(t_end=32.0, L=700.0, N=1800)
         plans = []
         plan = propagator._bluestein_plan
@@ -870,7 +881,9 @@ class TestRayBand:
         for i in usable:
             full = full_grid_rows(traj, analysis, i)
             for c in "uv":
-                for got, want in zip(rows[i, c], full[c]):
+                lo, hi, *window = rows[i, c]
+                assert (lo, hi) == (0, traj.grid.N)
+                for got, want in zip(window, full[c], strict=True):
                     assert np.array_equal(bits(got), bits(want))
 
 
@@ -891,18 +904,80 @@ def direct_sums(fields, xi):
     return out * (g.dx / np.sqrt(2 * np.pi))
 
 
+def quick_solve():
+    """The solve of configs/quick.cfg."""
+    cfg = sl.parse_config(CONFIGS / "quick.cfg")
+    _, params, u1, v1 = sl.build_experiment(cfg)
+    schedule = sl.geometric_schedule(cfg.t_end, cfg.schedule_ratio)
+    return sl.evolve(sl.PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params)
+
+
+def full_length_gap(actual, t, w_own, w_other, gamma_other):
+    """The closed-form gap over all N rays from N-point rows, as it was
+    computed before the gap took the rays' window."""
+    phase = actual.grid.x**2 / (4.0 * t) - RESONANT_COEFF * (np.abs(w_other) ** 2 * np.log(t) + gamma_other.real)
+    closed = (2j * t) ** (-0.5) * w_own * _cis(phase)
+    return float(np.max(np.abs(actual.samples - closed)))
+
+
+class TestGapWindow:
+    @pytest.mark.parametrize("case", ["linear", "quick", "full_band"])
+    def test_gaps_bitwise_the_full_length_formula(self, case, monkeypatch, request):
+        # the closed form is 0 on the rays outside the window, so the gap
+        # there is |actual|: every gap is bitwise the full-length formula's
+        # on the window's rows zero-padded to N points.  At N = 1800 the
+        # window is the whole grid
+        if case == "linear":
+            traj = request.getfixturevalue("linear_traj")
+        elif case == "quick":
+            traj = quick_solve()
+        else:
+            traj = free_pair_trajectory(t_end=32.0, L=700.0, N=1800)
+        analysis, rows = gap_rows(traj, monkeypatch)
+        usable = np.flatnonzero(np.isfinite(analysis.asym_u))
+        assert len(usable) >= 2 and set(rows) == {(i, c) for i in usable for c in "uv"}
+        widths = set()
+        for i in usable:
+            state, t = traj.snapshots[i], traj.times[i]
+            for c, asym in (("u", analysis.asym_u), ("v", analysis.asym_v)):
+                lo, hi, *window = rows[i, c]
+                widths.add(hi - lo)
+                assert asym[i] == full_length_gap(getattr(state, c), t, *zero_padded(traj.grid, lo, hi, window))
+        if case == "full_band":
+            assert widths == {traj.grid.N}
+        else:
+            assert min(widths) < traj.grid.N
+
+    @pytest.mark.parametrize(
+        "lo, hi, peak",
+        [(10, 40, 2), (10, 40, 50), (10, 40, 20), (0, 20, 60), (30, 64, 5), (0, 64, 33)],
+        ids=["left", "right", "inside", "at_start", "at_end", "whole_grid"],
+    )
+    def test_gap_reads_actual_outside_the_window(self, lo, hi, peak):
+        # the field's largest sample, at index peak, sets the gap; on the
+        # solved data the gap peaks inside the window, so this is where a gap
+        # that skipped either side of it would show
+        grid = sl.Grid1D(L=20.0, N=64)
+        rng = np.random.default_rng(100 * lo + hi)
+        samples = rng.normal(size=64) + 1j * rng.normal(size=64)
+        samples[peak] = 10.0
+        actual = sl.ComplexField(grid, samples, "physical")
+        rows = rng.normal(size=(3, hi - lo)) + 1j * rng.normal(size=(3, hi - lo))
+        gap = _closed_form_gap(actual, 3.0, lo, hi, *rows)
+        assert gap == full_length_gap(actual, 3.0, *zero_padded(grid, lo, hi, rows))
+        if not lo <= peak < hi:
+            assert gap == 10.0
+
+
 class TestRayAccuracy:
     def test_rows_match_extended_precision_sums_at_the_rays(self, monkeypatch):
         # on the quick solve, every row a closed-form gap receives is within
         # 1e-14 of the largest |W| (Gamma rows: of its square) of the direct
         # sum of the band limits at the rays x_j/2t, x_j = -L/2 + j dx, all
         # in extended precision; at every usable time, inexact 2^(k/4) ones
-        # included.  Rays past the band read exactly 0.  Measured: 1.6e-15
-        # for W and 7e-17 for Gamma
-        cfg = sl.parse_config(CONFIGS / "quick.cfg")
-        _, params, u1, v1 = sl.build_experiment(cfg)
-        schedule = sl.geometric_schedule(cfg.t_end, cfg.schedule_ratio)
-        traj = sl.evolve(sl.PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params)
+        # included.  The window is exactly the rays inside the band.
+        # Measured: 1.6e-15 for W and 7e-17 for Gamma
+        traj = quick_solve()
         analysis, rows = gap_rows(traj, monkeypatch)
         grid = traj.grid
         usable = np.flatnonzero(np.isfinite(analysis.asym_u))
@@ -919,10 +994,10 @@ class TestRayAccuracy:
             inside = in_band(grid, t, band)
             w_u, w_v, gamma_u, gamma_v = direct_sums(fields, nodes[inside] / (2 * np.longdouble(t)))
             for c, want in (("u", (w_u, w_v, gamma_v)), ("v", (w_v, w_u, gamma_u))):
-                own, other, gamma = rows[i, c]
-                assert not (np.any(own[~inside]) or np.any(other[~inside]) or np.any(gamma[~inside]))
-                w_dev = max(w_dev, np.max(np.abs(own[inside] - want[0])), np.max(np.abs(other[inside] - want[1])))
-                gamma_dev = max(gamma_dev, np.max(np.abs(gamma[inside] - want[2])))
+                lo, hi, own, other, gamma = rows[i, c]
+                assert np.array_equal(np.flatnonzero(inside), np.arange(lo, hi))
+                w_dev = max(w_dev, np.max(np.abs(own - want[0])), np.max(np.abs(other - want[1])))
+                gamma_dev = max(gamma_dev, np.max(np.abs(gamma - want[2])))
         assert w_dev <= 1e-14 * peak, w_dev / peak
         assert gamma_dev <= 1e-14 * peak**2, gamma_dev / peak**2
 

@@ -254,6 +254,36 @@ class TestEvolve:
         a, b = traj.snapshots[1], traj.snapshots[2]
         assert np.array_equal(a.u.samples, b.u.samples)
 
+    @pytest.mark.parametrize(
+        "t_end, dt, schedule, message",
+        [
+            (4.0, 0.05, [2.0, float("nan")], r"schedule entries must be finite, got \[2\.0, nan\]"),
+            (4.0, 0.05, [float("-inf"), 2.0], "schedule entries must be finite"),
+            (4.0, 0.05, [2.0, float("inf")], "schedule entries must be finite"),
+            (float("nan"), 0.05, [2.0], "t_end must exceed 1"),
+            (4.0, float("nan"), [2.0], "dt must be positive"),
+        ],
+        ids=["nan_entry", "minus_inf_entry", "inf_entry", "nan_t_end", "nan_dt"],
+    )
+    def test_nonfinite_input_rejected_before_any_step(self, t_end, dt, schedule, message, monkeypatch):
+        # a NaN sorts last and compares false, so the [1, t_end] check alone
+        # let it through to a step
+        grid = sl.Grid1D(L=60.0, N=256)
+        u1, v1 = small_pair(grid)
+        steps = []
+        kernel = solver._step_fields
+        monkeypatch.setattr(solver, "_step_fields", lambda *args: steps.append(args) or kernel(*args))
+        with pytest.raises(ValueError, match=message):
+            sl.evolve(sl.PairState(u1, v1, 1.0), t_end, dt, schedule, sl.AnalysisParams.make())
+        assert steps == []
+
+    def test_schedule_deduplicated_in_order(self):
+        # unsorted, repeated entries and the initial time land once each
+        grid = sl.Grid1D(L=200.0, N=256)
+        u1, v1 = small_pair(grid, eps=0.1)
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), 3.0, 0.05, [3.0, 2.0, 1.0, 2.0, 2.5], sl.AnalysisParams.make())
+        assert traj.times.tolist() == [1.0, 2.0, 2.5, 3.0]
+
     def test_requires_unit_initial_time(self):
         grid = sl.Grid1D(L=60.0, N=256)
         u1, v1 = small_pair(grid)

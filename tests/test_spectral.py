@@ -294,6 +294,61 @@ class TestTransform:
         with pytest.raises(ValueError):
             grid.x[0] = 1.0
 
+    def test_writeable_samples_are_copied(self):
+        grid = sl.Grid1D(L=10.0, N=32)
+        a = np.arange(32) * (1 + 1j)
+        f = sl.ComplexField(grid, a, "physical")
+        assert not np.shares_memory(f.samples, a) and not f.samples.flags.writeable
+        a[0] = 7.0
+        assert f.samples[0] == 0.0
+
+    def test_read_only_complex128_samples_are_kept(self):
+        grid = sl.Grid1D(L=10.0, N=32)
+        a = np.arange(32) * (1 + 1j)
+        a.flags.writeable = False
+        f = sl.ComplexField(grid, a, "physical")
+        assert f.samples is a
+        assert np.shares_memory(f.with_samples(f.samples).samples, a)
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda a: a.view(),  # a read-only view of a writeable array
+            lambda a: a.real.copy(),  # read-only, but not complex128
+            lambda a: a.astype(">c16"),  # complex, big-endian
+        ],
+        ids=["view_of_writeable", "float64", "big_endian"],
+    )
+    def test_other_read_only_samples_are_copied(self, make):
+        grid = sl.Grid1D(L=10.0, N=32)
+        base = np.arange(32) * (1 + 1j)
+        a = make(base)
+        a.flags.writeable = False
+        f = sl.ComplexField(grid, a, "physical")
+        assert f.samples.dtype == np.complex128 and not f.samples.flags.writeable
+        assert not np.shares_memory(f.samples, a)
+        assert np.array_equal(f.samples, np.asarray(a, dtype=np.complex128))
+        base[:] = -1.0
+        assert not np.any(f.samples.real < 0)
+
+    @pytest.mark.parametrize("transform", ["fourier_forward", "fourier_inverse"])
+    def test_transform_output_is_kept_without_a_copy(self, transform, monkeypatch):
+        # the transform's fresh array is made read-only and becomes the field's
+        grid = sl.Grid1D(L=25.0, N=128)
+        side = "physical" if transform == "fourier_forward" else "spectral"
+        fresh = []
+        wrap = spectral.ComplexField
+
+        def watched(g, samples, s):
+            fresh.append(samples)
+            return wrap(g, samples, s)
+
+        f = random_field(grid, 5, side)
+        monkeypatch.setattr(spectral, "ComplexField", watched)
+        out = getattr(sl, transform)(f)
+        assert len(fresh) == 1 and out.samples is fresh[0]
+        assert not out.samples.flags.writeable and out.samples.base is None
+
     def test_convolution_theorem_against_direct_sum(self):
         grid = sl.Grid1D(L=16.0, N=64)
         rng = np.random.default_rng(7)

@@ -1,7 +1,12 @@
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 import scatterlab as sl
 import scatterlab.trajio as trajio
@@ -54,6 +59,18 @@ class TestBinaryFormat:
             assert a.t == b.t
             assert np.array_equal(a.u.samples, b.u.samples)
             assert np.array_equal(a.v.samples, b.v.samples)
+
+    def test_loaded_fields_share_the_file_buffer(self, tmp_path):
+        # each snapshot is a read-only view of the one immutable buffer read
+        # from the file, kept by its field without a copy
+        path = tmp_path / "t.bin"
+        sl.save_trajectory(tiny_trajectory(), path)
+        back = sl.load_trajectory(path)
+        fields = [f for s in back.snapshots for f in (s.u, s.v)]
+        buffer = fields[0].samples.base
+        assert isinstance(buffer, bytes) and len(buffer) == path.stat().st_size
+        for field in fields:
+            assert field.samples.base is buffer and not field.samples.flags.writeable
 
     def test_byte_layout(self, tmp_path):
         traj = tiny_trajectory()
@@ -119,6 +136,68 @@ class TestBinaryFormat:
             struct.pack_into("<d", raw, _HEADER.size + index * (8 + 2 * 16 * 16), t)
             path.write_bytes(raw)
             with pytest.raises(FormatError, match="finite"):
+                sl.load_trajectory(path)
+
+
+@st.composite
+def trajectories(draw):
+    """Trajectories of even N >= 8 and 1 to 6 snapshots at increasing times
+    from 1, their samples any float64 bit patterns (NaNs and infinities
+    included)."""
+    n = 2 * draw(st.integers(4, 40))
+    count = draw(st.integers(1, 6))
+    steps = draw(st.lists(st.floats(1e-3, 1e3), min_size=count - 1, max_size=count - 1))
+    times = [1.0]
+    for step in steps:
+        times.append(times[-1] + step)
+    parts = draw(arrays(np.float64, (count, 2, 2 * n)))
+    grid = sl.Grid1D(L=draw(st.floats(1e-3, 1e4)), N=n)
+    snaps = tuple(
+        sl.PairState(*(sl.ComplexField(grid, part.view(np.complex128), "physical") for part in pair), t)
+        for pair, t in zip(parts, times)
+    )
+    params = sl.AnalysisParams.make(epsilon=draw(st.floats(0.0, 10.0)))
+    return sl.Trajectory(grid=grid, params=params, snapshots=snaps, dt=0.5)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=60, deadline=None)
+    @given(trajectories())
+    def test_round_trip_is_bitwise_and_read_only(self, traj):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.bin"
+            sl.save_trajectory(traj, path)
+            back = sl.load_trajectory(path, dt=traj.dt)
+        assert (back.grid.L, back.grid.N, back.params, back.dt) == (traj.grid.L, traj.grid.N, traj.params, traj.dt)
+        assert np.array_equal(bits(back.times), bits(traj.times))
+        for a, b in zip(traj.snapshots, back.snapshots, strict=True):
+            for mine, loaded in ((a.u, b.u), (a.v, b.v)):
+                assert np.array_equal(bits(loaded.samples), bits(mine.samples))
+                assert not loaded.samples.flags.writeable
+
+    @settings(max_examples=60, deadline=None)
+    @given(trajectories(), st.data())
+    def test_truncated_file_rejected(self, traj, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.bin"
+            sl.save_trajectory(traj, path)
+            raw = path.read_bytes()
+            path.write_bytes(raw[: data.draw(st.integers(0, len(raw) - 1))])
+            with pytest.raises(FormatError):
+                sl.load_trajectory(path)
+
+    @settings(max_examples=60, deadline=None)
+    @given(trajectories(), st.binary(min_size=8, max_size=8).filter(lambda magic: magic != MAGIC))
+    def test_bad_magic_rejected(self, traj, magic):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.bin"
+            sl.save_trajectory(traj, path)
+            path.write_bytes(magic + path.read_bytes()[8:])
+            with pytest.raises(FormatError, match="bad magic"):
                 sl.load_trajectory(path)
 
 
