@@ -1,6 +1,9 @@
 """
 Command-line entry point: one solve per invocation, then the command's
 verdict `_COMMANDS[name](cfg, traj, outdir) -> report lines` on that solve.
+A verdict reads its horizon from the trajectory and of the config only
+simulate's `save_snapshots`; every exponent line of decay, scattering and
+asymptotic comes from `_exponent_line`, which names a fit's shortfall.
 
     scatterlab <simulate|decay|scattering|remainder|asymptotic>
                --config <path> [--outdir <path>] [--seed <u64>]
@@ -70,27 +73,35 @@ def cmd_simulate(cfg, traj, outdir: Path) -> list[str]:
     ]
 
 
+def _exponent_line(label: str, zero: bool, window: str, times, series, bounds) -> str:
+    """The verdict on the exponent p of series ~ t^p, fitted over times, the
+    snapshots in the fit window: vacuous on a zero field, the shortfall named
+    when there is no fit, else p against bounds (lo, hi), lo None for p <= hi."""
+    if zero:
+        return _line(True, label, "vacuous (zero field)")
+    if times.size < 4:
+        return _line(False, label, f"{times.size} snapshots at {window}, fewer than 4")
+    try:
+        p = fit_rate(times, series).exponent
+    except ValueError as exc:  # a value that is not positive
+        return _line(False, label, f"no fit: {exc}")
+    lo, hi = bounds
+    criterion = f"<= {hi}" if lo is None else f"in [{lo}, {hi}]"
+    return _line((lo is None or lo <= p) and p <= hi, label, f"exponent {p:.4f} {criterion}")
+
+
 def cmd_decay(cfg, traj, outdir: Path) -> list[str]:
     analysis = _analyze(traj, outdir, with_asymptotic=False)
     zero = _zero_data(analysis)
     if all(zero.values()):
         return ["[PASS] decay: vacuous (zero data)"]
     # dispersive decay only sets in past t ~ width^2; fit from t = 10 on
-    start = max(10.0, cfg.t_end / 20.0)
-    mask = analysis.times >= start * (1 - 1e-12)
-    times = analysis.times[mask]
-    lines = []
-    for name, series in (("u", analysis.u_linf[mask]), ("v", analysis.v_linf[mask])):
-        label = f"max-norm decay of {name}"
-        if zero[name]:
-            lines.append(_line(True, label, "vacuous (zero field)"))
-        elif times.size < 4:
-            lines.append(_line(False, label, f"{times.size} snapshots at t >= {start:g}, fewer than 4"))
-        else:
-            fit = fit_rate(times, series)
-            ok = DECAY_BAND[0] <= fit.exponent <= DECAY_BAND[1]
-            lines.append(_line(ok, label, f"exponent {fit.exponent:.4f} in [{DECAY_BAND[0]}, {DECAY_BAND[1]}]"))
-    return lines
+    start = max(10.0, traj.times[-1] / 20.0)
+    fit, window = analysis.times >= start * (1 - 1e-12), f"t >= {start:g}"
+    return [
+        _exponent_line(f"max-norm decay of {name}", zero[name], window, analysis.times[fit], s[fit], DECAY_BAND)
+        for name, s in (("u", analysis.u_linf), ("v", analysis.v_linf))
+    ]
 
 
 def cmd_scattering(cfg, traj, outdir: Path) -> list[str]:
@@ -98,24 +109,22 @@ def cmd_scattering(cfg, traj, outdir: Path) -> list[str]:
     zero = _zero_data(analysis)
     if all(zero.values()):
         return ["[PASS] scattering: vacuous (zero data)"]
-    lines = []
     if analysis.est_u is None:
         return ["[FAIL] scattering: window too short for limit estimation"]
+    # estimate_limit's fit window, which leaves out the anchor's trivial zero
+    t_fit = traj.times[-1] / 4.0
+    fit, window = analysis.times <= t_fit, f"t <= {t_fit:g}"
+    lines = []
     for name, est in (("u", analysis.est_u), ("v", analysis.est_v)):
         write_series_csv(outdir / f"cauchy_{name}.csv", "t,dyadic_diff_linf", est.cauchy)
-        labels = (f"{name} limit max-norm rate", f"{name} limit weighted rate", f"{name} dyadic differences")
-        if zero[name]:
-            lines.extend(_line(True, label, "vacuous (zero field)") for label in labels)
-            continue
-        ok_l = est.fit_linf is not None and est.fit_linf.exponent <= SCATTERING_LINF_MAX
-        ok_h = est.fit_h0n is not None and est.fit_h0n.exponent <= SCATTERING_H0N_MAX
-        le = est.fit_linf.exponent if est.fit_linf else float("nan")
-        he = est.fit_h0n.exponent if est.fit_h0n else float("nan")
-        lines.append(_line(ok_l, labels[0], f"exponent {le:.4f} <= {SCATTERING_LINF_MAX}"))
-        lines.append(_line(ok_h, labels[1], f"exponent {he:.4f} <= {SCATTERING_H0N_MAX}"))
+        rates = ("max-norm", est.diff_linf, SCATTERING_LINF_MAX), ("weighted", est.diff_h0n, SCATTERING_H0N_MAX)
+        for kind, s, hi in rates:
+            label = f"{name} limit {kind} rate"
+            lines.append(_exponent_line(label, zero[name], window, analysis.times[fit], s[fit], (None, hi)))
         diffs = [d for t, d in est.cauchy if 8.0 <= t <= traj.times[-1] / 2.0]
         mono = len(diffs) >= 2 and all(b <= a for a, b in zip(diffs, diffs[1:]))
-        lines.append(_line(mono, labels[2], f"{len(diffs)} pairs monotone decreasing"))
+        detail = "vacuous (zero field)" if zero[name] else f"{len(diffs)} pairs monotone decreasing"
+        lines.append(_line(zero[name] or mono, f"{name} dyadic differences", detail))
     return lines
 
 
@@ -152,20 +161,13 @@ def cmd_asymptotic(cfg, traj, outdir: Path) -> list[str]:
         return ["[PASS] asymptotic: vacuous (zero data)"]
     if analysis.est_u is None:
         return ["[FAIL] asymptotic: window too short for limit estimation"]
-    grid = traj.grid
-    t_lo = max(cfg.t_end / 16.0, 1.05 * grid.L**2 / (4.0 * np.pi * grid.N))
+    # a row is NaN where the analysis found its rays past the grid's band
+    t_lo = traj.times[-1] / 16.0
+    window, bounds = f"t >= {t_lo:g} with a finite residual", (None, ASYMPTOTIC_SLOPE_MAX)
     lines = []
-    for name, series in (("u", analysis.asym_u), ("v", analysis.asym_v)):
-        label = f"{name} asymptotic residual"
-        mask = (analysis.times >= t_lo) & np.isfinite(series)
-        if zero[name]:
-            lines.append(_line(True, label, "vacuous (zero field)"))
-        elif np.count_nonzero(mask) < 4:
-            lines.append(_line(False, label, "fewer than 4 usable snapshots"))
-        else:
-            fit = fit_rate(analysis.times[mask], series[mask])
-            ok = fit.exponent <= ASYMPTOTIC_SLOPE_MAX
-            lines.append(_line(ok, label, f"exponent {fit.exponent:.4f} <= {ASYMPTOTIC_SLOPE_MAX}"))
+    for name, s in (("u", analysis.asym_u), ("v", analysis.asym_v)):
+        fit, label = (analysis.times >= t_lo) & np.isfinite(s), f"{name} asymptotic residual"
+        lines.append(_exponent_line(label, zero[name], window, analysis.times[fit], s[fit], bounds))
     return lines
 
 

@@ -121,27 +121,21 @@ def remainder_oracle(inp: TrilinearInput) -> ComplexField:
     return ComplexField(grid, out, SPECTRAL)
 
 
-def _profile_rows(states, components: str, block: np.ndarray) -> None:
-    """The profile formula, row by row: block[m, j] = e^{i t xi^2} times the
-    transform of component components[j] ('u' or 'v') of states[m]."""
+def _profile_rows(states, block: np.ndarray) -> None:
+    """The profile formula, row by row: block[m] = e^{i t xi^2} (uhat, vhat) of states[m]."""
     for state, row in zip(states, block):
         back = _cis(state.t * state.grid.xi**2)
-        for component, out in zip(components, row):
-            np.multiply(fourier_forward(getattr(state, component)).samples, back, out=out)
-
-
-def _profile_block(states, components: str) -> np.ndarray:
-    """The (len(states), len(components), N) block of profile rows, filled
-    by snapshot parity: even snapshots on this thread, odd ones on a worker."""
-    block = np.empty((len(states), len(components), states[0].grid.N), dtype=np.complex128)
-    _two_lanes(_profile_rows, (states[::2], components, block[::2]), (states[1::2], components, block[1::2]))
-    return block
+        for field, out in zip((state.u, state.v), row):
+            np.multiply(fourier_forward(field).samples, back, out=out)
 
 
 def profile_spectra(states) -> np.ndarray:
     """Spectral profiles of a sequence of states as one (len(states), 2, N)
-    block: row m is (fhat, ghat) = e^{i t xi^2} (uhat, vhat) of states[m]."""
-    return _profile_block(states, "uv")
+    block: row m is (fhat, ghat) = e^{i t xi^2} (uhat, vhat) of states[m],
+    filled by snapshot parity: even snapshots on this thread, odd ones on a worker."""
+    block = np.empty((len(states), 2, states[0].grid.N), dtype=np.complex128)
+    _two_lanes(_profile_rows, (states[::2], block[::2]), (states[1::2], block[1::2]))
+    return block
 
 
 @dataclass(frozen=True)
@@ -165,7 +159,9 @@ def remainder_decay_fit(traj) -> RemainderDecayReport:
     times = traj.times
     sups = np.empty(len(times))
     ratios = np.empty(len(times))
-    for m, (state, pair) in enumerate(zip(traj.snapshots, profile_spectra(traj.snapshots))):
+    block = profile_spectra(traj.snapshots)
+    block.flags.writeable = False  # the fields below keep its rows
+    for m, (state, pair) in enumerate(zip(traj.snapshots, block)):
         inp = TrilinearInput(*(ComplexField(traj.grid, row, SPECTRAL) for row in pair), state.t)
         sups[m] = sup = norm_Linf(remainder_physical(inp))
         denom = norm_H10_xi(traj.grid, pair[1]) ** 2 * norm_H10_xi(traj.grid, pair[0])
@@ -185,11 +181,8 @@ def h10_growth_fit(traj, component: str = "u") -> RateFit:
     evaluated as ||f||_{H^{0,1}_x} of the physical profile."""
     if component not in ("u", "v"):
         raise ValueError("component must be 'u' or 'v'")
-    rows = _profile_block(traj.snapshots, component)[:, 0]
-    values = np.empty(len(rows))
-    for m, row in enumerate(rows):
-        values[m] = norm_H10_xi(traj.grid, row)
-    return fit_rate(traj.times, values)
+    rows = profile_spectra(traj.snapshots)[:, "uv".index(component)]
+    return fit_rate(traj.times, [norm_H10_xi(traj.grid, row) for row in rows])
 
 
 def odd_power_split_holds(n: int, xi: float, eta: float, sigma: float) -> bool:

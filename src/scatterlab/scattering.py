@@ -20,7 +20,7 @@ from .remainder import (
     profile_spectra,
     remainder_physical,
 )
-from .solver import LIMIT_FLOOR, Trajectory, _extent, _resample
+from .solver import Trajectory, _extent, _resample
 from .spectral import (
     PHYSICAL,
     SPECTRAL,
@@ -41,6 +41,10 @@ from .spectral import (
 # through exactly gives the provable 2*sqrt(2) (sharp constant: sqrt(2*pi)).
 L1_INTERP_CONSTANT = 2.0
 L1_INTERP_CONSTANT_SAFE = 2.0 * np.sqrt(2.0)
+
+# amplitude, relative to each scattering limit's own peak, that the ray
+# pass's band must hold (analyze_trajectory)
+LIMIT_FLOOR = 1e-15
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,6 @@ DEFAULT_SCHEDULE_RATIO = 2.0**0.25
 # thresholds of the domain sizing rule, the in-flight wrap guard and the
 # band-edge guard (spectral amplitude in the outer tenth of a band)
 SPECTRUM_FLOOR = 1e-12
-# amplitude, relative to each scattering limit's own peak, that the ray
-# pass's band must hold (scattering.analyze_trajectory)
-LIMIT_FLOOR = 1e-15
 EDGE_HARD_LIMIT = 1e-6
 BAND_EDGE_LIMIT = 1e-10
 
@@ -231,6 +228,7 @@ def _resample(spectrum: np.ndarray, grid: Grid1D) -> np.ndarray:
     else:
         cut = np.zeros(m, np.complex128)
         cut[(m - n) // 2 : (m + n) // 2] = spectrum
+        cut.flags.writeable = False  # fresh: the field keeps it
     return fourier_inverse(ComplexField(grid, cut, SPECTRAL)).samples
 
 

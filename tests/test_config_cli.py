@@ -3,6 +3,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -175,7 +176,7 @@ class TestCli:
         times = [2.0**k for k in range(8)]
         snaps = tuple(sl.PairState(sl.free_evolve(u1, t - 1.0), zero, t) for t in times)
         traj = sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=1.0), snapshots=snaps, dt=float("nan"))
-        cfg = replace(sl.parse_config(write_config(tmp_path, GOOD_CONFIG)), t_end=times[-1])
+        cfg = sl.parse_config(write_config(tmp_path, GOOD_CONFIG))
         lines = cli._COMMANDS[command](cfg, traj, tmp_path)
         labels = [line.split("] ")[1].split(":")[0] for line in lines]
         on_v = [line for line, label in zip(lines, labels) if "v" in label.split()]
@@ -300,6 +301,58 @@ class TestCli:
             report = ("\n".join(verdict(cfg, traj, out)) + "\n").encode()
             assert report == expected[name].pop(f"{name}_report.txt"), name
             assert {p.name: p.read_bytes() for p in out.iterdir()} == expected[name], name
+
+    def test_verdicts_read_the_horizon_of_their_trajectory(self, tmp_path):
+        # a config whose t_end is not the trajectory's, or that holds only
+        # save_snapshots, gives every verdict the same report and files
+        quick = sl.parse_config(CONFIGS / "quick.cfg")
+        _, params, u1, v1 = sl.build_experiment(quick)
+        schedule = sl.geometric_schedule(quick.t_end, quick.schedule_ratio)
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), quick.t_end, quick.dt, schedule, params)
+        configs = [quick, replace(quick, t_end=10 * quick.t_end), SimpleNamespace(save_snapshots=quick.save_snapshots)]
+        for name, verdict in cli._COMMANDS.items():
+            runs = []
+            for k, cfg in enumerate(configs):
+                out = tmp_path / name / str(k)
+                out.mkdir(parents=True)
+                runs.append((verdict(cfg, traj, out), {p.name: p.read_bytes() for p in out.iterdir()}))
+            assert runs[1] == runs[0] and runs[2] == runs[0], name
+
+    def test_short_fit_windows_are_named(self, tmp_path):
+        # on this schedule the limits have their decade, but the limit-rate
+        # fit window t <= 10 holds 3 snapshots, and the asymptotic window
+        # t >= 2.5 holds 3 finite rows (quick's rays resolve from t = 4.76)
+        quick = sl.parse_config(CONFIGS / "quick.cfg")
+        _, params, u1, v1 = sl.build_experiment(quick)
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), 40.0, quick.dt, [1.0, 2.0, 3.0, 20.0, 30.0, 40.0], params)
+        rates = [line for line in cli.cmd_scattering(quick, traj, tmp_path) if "rate:" in line]
+        assert rates == [
+            f"[FAIL] {name} limit {kind} rate: 3 snapshots at t <= 10, fewer than 4"
+            for name in "uv"
+            for kind in ("max-norm", "weighted")
+        ]
+        assert cli.cmd_asymptotic(quick, traj, tmp_path) == [
+            f"[FAIL] {name} asymptotic residual: 3 snapshots at t >= 2.5 with a finite residual, fewer than 4"
+            for name in "uv"
+        ]
+
+    @pytest.mark.parametrize(
+        "zero, series, bounds, expected",
+        [
+            (True, [1.0, 0.5], (None, -0.5), "[PASS] x: vacuous (zero field)"),
+            (False, [1.0, 0.5], (None, -0.5), "[FAIL] x: 2 snapshots at t >= 1, fewer than 4"),
+            (False, [1, 0.5, 0, 0.125], (None, -0.5), "[FAIL] x: no fit: rate fit needs strictly positive values"),
+            (False, [1, 0.5, 0.25, 0.125], (None, -1.5), "[FAIL] x: exponent -1.0000 <= -1.5"),
+            (False, [1, 0.5, 0.25, 0.125], (None, -0.9), "[PASS] x: exponent -1.0000 <= -0.9"),
+            (False, [1, 0.5, 0.25, 0.125], (-1.5, -0.5), "[PASS] x: exponent -1.0000 in [-1.5, -0.5]"),
+            (False, [1, 0.5, 0.25, 0.125], (-0.9, -0.5), "[FAIL] x: exponent -1.0000 in [-0.9, -0.5]"),
+        ],
+        ids=["vacuous", "shortfall", "no_fit", "fail_below", "pass_below", "pass_band", "fail_band"],
+    )
+    def test_exponent_line_states(self, zero, series, bounds, expected):
+        # series over times 1, 2, 4, ...: every state of an exponent line
+        times = 2.0 ** np.arange(len(series))
+        assert cli._exponent_line("x", zero, "t >= 1", times, np.array(series, float), bounds) == expected
 
     def test_decay_command_passes_and_writes_report(self, tmp_path):
         path = write_config(tmp_path, GOOD_CONFIG)

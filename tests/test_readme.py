@@ -1,12 +1,17 @@
 """The README's verification-toolkit table names only public functions, and
-every public function the package itself never calls."""
+every public function the package itself never calls; no module-level name
+is dead; and the CLI section quotes every shortfall a verdict can print."""
 
 import ast
 import inspect
 import re
 from pathlib import Path
+from types import SimpleNamespace
+
+import numpy as np
 
 import scatterlab as sl
+import scatterlab.cli as cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -89,3 +94,46 @@ def test_no_dead_module_level_names():
     read = names_read(Path(sl.__file__).parent.glob("*.py")) | names_read(Path(__file__).parent.glob("*.py"))
     dead = [f"{module}.{name}" for module, name in module_level_definitions() if name not in read | set(sl.__all__)]
     assert not dead, f"module-level names nothing reads: {dead}"
+
+
+def free_trajectory(grid, times, u_amp, v_amp):
+    """u and v the free Gaussian wave times u_amp and v_amp, at times (no solve)."""
+    wave = sl.ComplexField(grid, np.exp(-grid.x**2), "physical")
+    snaps = []
+    for t in times:
+        w = sl.free_evolve(wave, t - 1.0)
+        snaps.append(sl.PairState(w.with_samples(u_amp * w.samples), w.with_samples(v_amp * w.samples), t))
+    return sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=1.0), snapshots=tuple(snaps), dt=float("nan"))
+
+
+def numbers_hidden(text):
+    return re.sub(r"-?\d+(\.\d+)?(e[-+]?\d+)?", "#", " ".join(text.split()))
+
+
+def test_cli_section_quotes_every_shortfall(tmp_path):
+    # every detail the verdicts print that is not a measurement (an exponent,
+    # a drift, a spread or monotone pairs), on small free runs: one field
+    # zero and windows too short to fit; a horizon too short for the limits
+    # and the remainder fit; zero data; and a fit over a zero value
+    grid = sl.Grid1D(L=300.0, N=1024)
+    runs = [
+        free_trajectory(grid, [1.0, 2.0, 3.0, 20.0, 30.0, 40.0], 1.0, 0.0),
+        free_trajectory(grid, [1.0, 2.0, 4.0, 8.0], 1.0, 0.75),
+        free_trajectory(grid, [1.0, 2.0, 4.0, 8.0], 0.0, 0.0),
+    ]
+    details = set()
+    for k, traj in enumerate(runs):
+        for name, verdict in cli._COMMANDS.items():
+            out = tmp_path / f"{name}{k}"
+            out.mkdir()
+            lines = verdict(SimpleNamespace(save_snapshots=False), traj, out)
+            details.update(line.split(": ", 1)[1] for line in lines)
+    no_fit = cli._exponent_line("x", False, "t >= 1", np.arange(1.0, 5.0), np.zeros(4), (None, 0.0))
+    details.add(no_fit.split(": ", 1)[1])
+    measured = ("exponent ", "relative drift ", "max/median ")
+    shortfalls = {d for d in details if not d.startswith(measured) and not d.endswith("pairs monotone decreasing")}
+    section = numbers_hidden(README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0])
+    forms = {numbers_hidden(d) for d in shortfalls}
+    assert len(forms) == 9, sorted(forms)
+    missing = sorted(form for form in forms if form not in section)
+    assert not missing, f"shortfalls the README's CLI section does not quote: {missing}"

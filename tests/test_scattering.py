@@ -13,7 +13,7 @@ import scatterlab.scattering as scattering
 from scatterlab.remainder import RESONANT_COEFF, TrilinearInput
 from scatterlab.propagator import _check_rays
 from scatterlab.scattering import _cauchy_pairs, _closed_form_gap
-from scatterlab.solver import LIMIT_FLOOR
+from scatterlab.scattering import LIMIT_FLOOR
 from scatterlab.spectral import _cis
 from scipy.fft import next_fast_len
 from conftest import CONFIGS, coarsen

@@ -554,6 +554,17 @@ class TestSolveGrid:
         with pytest.raises(BandEdgeError, match="N = 216"):
             sl.evolve(sl.PairState(u1, v1, 1.0), 3.0, 0.001, [1.0, 1.5, 2.0], params)
 
+    def test_prolongation_wraps_the_padded_spectrum_without_a_copy(self, monkeypatch):
+        # the zero-padded spectrum and its transform are each kept as given
+        kept = []
+        read_only = sl.spectral._read_only
+        monkeypatch.setattr(sl.spectral, "_read_only", lambda arr: kept.append(read_only(arr)) or kept[-1])
+        small, grid = sl.Grid1D(L=40.0, N=32), sl.Grid1D(L=40.0, N=64)
+        spectrum = sl.fourier_forward(sl.ComplexField(small, np.exp(-small.x**2), "physical")).samples
+        kept.clear()
+        solver._resample(spectrum, grid)
+        assert kept == [True, True]
+
     def test_grid_rule_rejects_unresolved_data(self):
         # the quick data on 256 points: Nyquist 1.68 against xi_max = 2.48
         grid = sl.Grid1D(L=480.0, N=256)
