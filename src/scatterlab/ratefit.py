@@ -10,10 +10,7 @@ import numpy as np
 @dataclass(frozen=True)
 class RateFit:
     exponent: float
-    intercept: float
     residual_rms: float
-    count: int
-    window: tuple[float, float]
 
 
 def fit_rate(times, values) -> RateFit:
@@ -37,10 +34,4 @@ def fit_rate(times, values) -> RateFit:
     slope, intercept = np.polyfit(lx, ly, 1)
     resid = ly - (slope * lx + intercept)
     rms = float(np.sqrt(np.mean(resid**2)))
-    return RateFit(
-        exponent=float(slope),
-        intercept=float(intercept),
-        residual_rms=rms,
-        count=int(t.size),
-        window=(float(t[0]), float(t[-1])),
-    )
+    return RateFit(exponent=float(slope), residual_rms=rms)

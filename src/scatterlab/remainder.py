@@ -1,6 +1,6 @@
 """
 Computable representations of the non-resonant remainder of the cubic
-interaction, plus the decay and growth fits built on top of them.
+interaction, plus the decay series and the growth fit built on top of them.
 
 Writing u = e^{is d_xx} f and v = e^{is d_xx} g, the spectral profile
 equation reads  d_s fhat = -i e^{i s xi^2} F[|v|^2 u].  The stationary-phase
@@ -37,8 +37,6 @@ from .spectral import (
 RESONANT_COEFF = 0.5
 
 ORACLE_MAX_POINTS = 64
-
-MIN_FIT_DECADES = 1.5  # the decay fit's shortest window, in decades of time
 
 
 @dataclass(frozen=True)
@@ -140,9 +138,8 @@ def profile_spectra(states) -> np.ndarray:
 
 @dataclass(frozen=True)
 class RemainderDecayReport:
-    """Decay fit of sup_xi |R(s)| plus its ratio to the norm product bound."""
+    """sup_xi |R(s)| per snapshot plus its ratio to the norm product bound."""
 
-    fit: RateFit | None
     times: np.ndarray
     sup_values: np.ndarray
     bound_ratios: np.ndarray
@@ -151,10 +148,10 @@ class RemainderDecayReport:
 
 def remainder_decay_fit(traj) -> RemainderDecayReport:
     """
-    Fit the decay exponent of sup_xi |R(s)| along a trajectory and report the
-    ratio of sup_xi |R| * s^{1+delta} to ||ghat||_{H^{1,0}}^2 ||fhat||_{H^{1,0}},
-    whose stability across the run is the computable face of the decay bound.
-    The fit is None on a run of fewer than MIN_FIT_DECADES decades of time.
+    The series sup_xi |R(s)| along a trajectory, whose decay exponent the
+    remainder verdict fits, and the ratio of sup_xi |R| * s^{1+delta} to
+    ||ghat||_{H^{1,0}}^2 ||fhat||_{H^{1,0}}, whose stability across the run
+    is the computable face of the decay bound.
     """
     times = traj.times
     sups = np.empty(len(times))
@@ -170,10 +167,8 @@ def remainder_decay_fit(traj) -> RemainderDecayReport:
     # data keep their fit, and u = 0 or v = 0 (R = 0 exactly) stays vacuous
     u_max = max(norm_Linf(s.u) for s in traj.snapshots)
     v_max = max(norm_Linf(s.v) for s in traj.snapshots)
-    if np.max(sups, initial=0.0) <= 1e-14 * u_max * v_max**2:
-        return RemainderDecayReport(None, times, sups, ratios, vacuous=True)
-    fit = fit_rate(times, sups) if times[-1] / times[0] >= 10.0**MIN_FIT_DECADES else None
-    return RemainderDecayReport(fit, times, sups, ratios, vacuous=False)
+    vacuous = bool(np.max(sups, initial=0.0) <= 1e-14 * u_max * v_max**2)
+    return RemainderDecayReport(times, sups, ratios, vacuous)
 
 
 def h10_growth_fit(traj, component: str = "u") -> RateFit:

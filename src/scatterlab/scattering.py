@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .propagator import FrequencyRangeError, _check_rays, spectrum_at
-from .ratefit import RateFit, fit_rate
 from .remainder import (
     RESONANT_COEFF,
     TrilinearInput,
@@ -152,16 +151,13 @@ def reduced_ode_residual(traj: Trajectory, m: int, w_f, acc_v: PhaseAccumulator)
 @dataclass(frozen=True)
 class ScatteringEstimate:
     """Late-time limit W of a phase-corrected spectrum, the limit Gamma of its
-    phase offset, each snapshot's distance to W and the convergence fits."""
+    phase offset, each snapshot's distance to W and the dyadic differences."""
 
     W: ComplexField
     gamma_limit: np.ndarray
     diff_linf: np.ndarray  # per snapshot: max norm of w(t) - W
     diff_h0n: np.ndarray  # per snapshot: H^{0,n} norm of w(t) - W
-    fit_linf: RateFit | None
-    fit_h0n: RateFit | None
     cauchy: tuple[tuple[float, float], ...]
-    window: tuple[float, float]
 
 
 def _cauchy_pairs(times: np.ndarray, rows) -> list[tuple[float, float]]:
@@ -177,11 +173,11 @@ def _cauchy_pairs(times: np.ndarray, rows) -> list[tuple[float, float]]:
 def estimate_limit(times: np.ndarray, rows, grid: Grid1D, n: int) -> ScatteringEstimate:
     """
     Anchor the limit estimate W at the last row and Gamma at the phase
-    offset's last row, measure every row's distance to W, and quantify
-    convergence by fitting the max-norm and weighted-norm distances over
-    t <= t_max/4 (the anchor's trivial zero is excluded).  rows[m] holds the
-    spectral samples at the increasing snapshot time times[m] >= 1.  Dyadic
-    Cauchy differences are reported alongside as the anchor-free diagnostic.
+    offset's last row, and measure every row's distance to W in the max norm
+    and the weighted norm (their rates are the scattering verdict's to fit).
+    rows[m] holds the spectral samples at the increasing snapshot time
+    times[m] >= 1.  Dyadic Cauchy differences are reported alongside as the
+    anchor-free diagnostic.
     """
     if len(rows) < 4:
         raise ValueError("limit estimation needs at least 4 snapshots")
@@ -189,33 +185,20 @@ def estimate_limit(times: np.ndarray, rows, grid: Grid1D, n: int) -> ScatteringE
         raise ValueError("limit estimation needs at least one decade of time")
     w_last = ComplexField(grid, rows[-1], SPECTRAL)
     w_peak = norm_Linf(w_last)
-    t_max = times[-1]
     diff_linf = np.empty(len(rows))
     diff_h0n = np.empty(len(rows))
     for i, w in enumerate(rows):
         mag = np.abs(w - w_last.samples)
         diff_linf[i] = np.max(mag)
         diff_h0n[i] = _h0n_of_modulus(mag, grid.xi, grid.dxi, n, scale=w_peak)
-    fit = times <= t_max / 4.0
-    try:
-        fit_linf = fit_rate(times[fit], diff_linf[fit])
-    except ValueError:
-        fit_linf = None
-    try:
-        fit_h0n = fit_rate(times[fit], diff_h0n[fit])
-    except ValueError:
-        fit_h0n = None
     # Gamma is phase_offset(times, rows)[-1], streamed without the other rows
     phi, square = deque(_log_trapezoid(times, rows), maxlen=1).pop()
     return ScatteringEstimate(
         W=w_last,
-        gamma_limit=phi - square * np.log(t_max),
+        gamma_limit=phi - square * np.log(times[-1]),
         diff_linf=diff_linf,
         diff_h0n=diff_h0n,
-        fit_linf=fit_linf,
-        fit_h0n=fit_h0n,
         cauchy=tuple(_cauchy_pairs(times, rows)),
-        window=(float(times[0]), float(t_max)),
     )
 
 

@@ -1,12 +1,15 @@
 import os
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scatterlab as sl
 import scatterlab.cli as cli
@@ -30,6 +33,9 @@ analysis.beta = 0.2
 analysis.n = 1
 io.save_snapshots = false
 """
+
+# the benchmark's smoke geometry: quick.cfg's data on a quarter of the points
+SMOKE_CONFIG = GOOD_CONFIG.replace("grid.N = 4096", "grid.N = 1024").replace("solver.dt = 0.02", "solver.dt = 0.05")
 
 
 def write_config(tmp_path, text, name="exp.cfg"):
@@ -336,6 +342,24 @@ class TestCli:
             for name in "uv"
         ]
 
+    def test_dyadic_failures_name_their_cause(self, tmp_path):
+        # u free and v = 0 on quick: u's dyadic differences are round-off,
+        # which does not fall, and the line names the first pair that rises
+        quick = sl.parse_config(CONFIGS / "quick.cfg")
+        _, params, u1, v1 = sl.build_experiment(quick)
+        zero = u1.with_samples(np.zeros(u1.grid.N))
+        schedule = sl.geometric_schedule(quick.t_end, quick.schedule_ratio)
+        traj = sl.evolve(sl.PairState(u1, zero, 1.0), quick.t_end, quick.dt, schedule, params)
+        line = [line for line in cli.cmd_scattering(quick, traj, tmp_path) if line.startswith("[FAIL] u dyadic")]
+        rows = [row.split(",") for row in (tmp_path / "cauchy_u.csv").read_text().splitlines()[1:]]
+        pairs = [(float(t), float(d)) for t, d in rows if 8.0 <= float(t) <= 20.0]
+        rise = next(t for (_, a), (t, b) in zip(pairs, pairs[1:]) if b > a)
+        assert line == [f"[FAIL] u dyadic differences: {len(pairs)} pairs, rising at t = {rise:g}"]
+        # a schedule with one pair (t = 20, 40) in 8 <= t <= 20
+        traj = sl.evolve(sl.PairState(u1, v1, 1.0), 40.0, quick.dt, [1.0, 2.0, 3.0, 20.0, 30.0, 40.0], params)
+        dyadic = [line for line in cli.cmd_scattering(quick, traj, tmp_path) if "dyadic" in line]
+        assert dyadic == [f"[FAIL] {name} dyadic differences: 1 pairs at 8 <= t <= 20, fewer than 2" for name in "uv"]
+
     @pytest.mark.parametrize(
         "zero, series, bounds, expected",
         [
@@ -434,6 +458,20 @@ class TestShippedConfigs:
         # the remainder's bound-ratio line still reads the run
         assert len(lines) == 2 and all(line.startswith(("[PASS]", "[FAIL]")) for line in lines)
 
+    def test_sparse_schedule_fails_with_a_report(self, tmp_path, capsys):
+        # quick.cfg with schedule.ratio = 10 snapshots t = 1, 10, 40: the 1.6
+        # decades the remainder fit needs, but 3 snapshots, too few to fit
+        text = (CONFIGS / "quick.cfg").read_text() + "schedule.ratio = 10\n"
+        out = tmp_path / "out"
+        rc = main(["remainder", "--config", str(write_config(tmp_path, text)), "--outdir", str(out)])
+        captured = capsys.readouterr()
+        assert rc == 1 and captured.err == ""
+        lines = (out / "remainder_report.txt").read_text().splitlines()
+        assert captured.out.splitlines() == lines
+        assert lines[0] == "[FAIL] remainder decay: 3 snapshots at t = 1 .. 40, fewer than 4"
+        assert len(lines) == 2 and lines[1].startswith(("[PASS]", "[FAIL]"))
+        assert len((out / "remainder_decay.csv").read_text().splitlines()) == 1 + 3
+
     def test_remainder_reports_only_its_run(self, tmp_path, monkeypatch):
         # the verdict reads the run it is given: two lines, and no test
         # oracle (the O(N^3) quadrature) runs inside it
@@ -449,3 +487,23 @@ class TestShippedConfigs:
         lines = (out / "remainder_report.txt").read_text().splitlines()
         assert len(lines) == 2 and all(line.startswith("[PASS]") for line in lines), lines
         assert not any("oracle" in line for line in lines), lines
+
+
+class TestVerdictContract:
+    @settings(max_examples=15, deadline=None)
+    @given(ratio=st.floats(1.05, 30.0), t_end=st.floats(1.5, 40.0))
+    @example(ratio=10.0, t_end=40.0)
+    def test_every_verdict_line_passes_or_fails(self, ratio, t_end):
+        # whatever the schedule and horizon, a verdict on a solved run is a
+        # report of [PASS] and [FAIL] lines, never an exception
+        with tempfile.TemporaryDirectory() as tmp:
+            base = sl.parse_config(write_config(Path(tmp), SMOKE_CONFIG))
+            cfg = replace(base, schedule_ratio=ratio, t_end=t_end)
+            _, params, u1, v1 = sl.build_experiment(cfg)
+            schedule = sl.geometric_schedule(cfg.t_end, cfg.schedule_ratio)
+            traj = sl.evolve(sl.PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params)
+            for name, verdict in cli._COMMANDS.items():
+                out = Path(tmp) / name
+                out.mkdir()
+                lines = verdict(cfg, traj, out)
+                assert lines and all(line.startswith(("[PASS] ", "[FAIL] ")) for line in lines), (name, lines)

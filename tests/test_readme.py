@@ -1,6 +1,7 @@
 """The README's verification-toolkit table names only public functions, and
 every public function the package itself never calls; no module-level name
-is dead; and the CLI section quotes every shortfall a verdict can print."""
+is dead; one rule fits every rate a report prints; and the CLI section
+quotes every shortfall a verdict can print."""
 
 import ast
 import inspect
@@ -96,13 +97,40 @@ def test_no_dead_module_level_names():
     assert not dead, f"module-level names nothing reads: {dead}"
 
 
-def free_trajectory(grid, times, u_amp, v_amp):
-    """u and v the free Gaussian wave times u_amp and v_amp, at times (no solve)."""
+def fit_rate_readers():
+    """module.function of every place src code reads the name fit_rate
+    (calls, and the function passed as a value; not its import)."""
+
+    def walk(node, scope):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            scope = f"{scope}.{node.name}"
+        if (isinstance(node, ast.Name) and node.id == "fit_rate") or (
+            isinstance(node, ast.Attribute) and node.attr == "fit_rate"
+        ):
+            yield scope
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, scope)
+
+    paths = Path(sl.__file__).parent.glob("*.py")
+    return sorted(r for path in paths for r in walk(ast.parse(path.read_text()), path.stem))
+
+
+def test_one_rule_fits_every_reported_rate():
+    # the library hands the verdicts series: every exponent a report prints
+    # is fitted in the exponent-line rule; h10_growth_fit is a toolkit check
+    # only the tests call
+    assert fit_rate_readers() == ["cli._exponent_line", "remainder.h10_growth_fit"]
+
+
+def free_trajectory(grid, times, u_amp, v_amp, u_growth=0.0):
+    """u and v the free Gaussian wave times u_amp (1 + u_growth t) and v_amp,
+    at times (no solve)."""
     wave = sl.ComplexField(grid, np.exp(-grid.x**2), "physical")
     snaps = []
     for t in times:
         w = sl.free_evolve(wave, t - 1.0)
-        snaps.append(sl.PairState(w.with_samples(u_amp * w.samples), w.with_samples(v_amp * w.samples), t))
+        u = w.with_samples(u_amp * (1.0 + u_growth * t) * w.samples)
+        snaps.append(sl.PairState(u, w.with_samples(v_amp * w.samples), t))
     return sl.Trajectory(grid=grid, params=sl.AnalysisParams.make(epsilon=1.0), snapshots=tuple(snaps), dt=float("nan"))
 
 
@@ -113,13 +141,17 @@ def numbers_hidden(text):
 def test_cli_section_quotes_every_shortfall(tmp_path):
     # every detail the verdicts print that is not a measurement (an exponent,
     # a drift, a spread or monotone pairs), on small free runs: one field
-    # zero and windows too short to fit; a horizon too short for the limits
-    # and the remainder fit; zero data; and a fit over a zero value
+    # zero, windows too short to fit and one dyadic pair; a horizon too short
+    # for the limits and the remainder fit; zero data; 1.6 decades in 3
+    # snapshots, too few for the remainder fit; dyadic differences that
+    # rise (u's amplitude grows); and a fit over a zero value
     grid = sl.Grid1D(L=300.0, N=1024)
     runs = [
         free_trajectory(grid, [1.0, 2.0, 3.0, 20.0, 30.0, 40.0], 1.0, 0.0),
         free_trajectory(grid, [1.0, 2.0, 4.0, 8.0], 1.0, 0.75),
         free_trajectory(grid, [1.0, 2.0, 4.0, 8.0], 0.0, 0.0),
+        free_trajectory(grid, [1.0, 10.0, 40.0], 1.0, 0.75),
+        free_trajectory(grid, [2.0**k for k in range(7)], 1.0, 0.0, u_growth=1 / 64),
     ]
     details = set()
     for k, traj in enumerate(runs):
@@ -134,6 +166,6 @@ def test_cli_section_quotes_every_shortfall(tmp_path):
     shortfalls = {d for d in details if not d.startswith(measured) and not d.endswith("pairs monotone decreasing")}
     section = numbers_hidden(README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0])
     forms = {numbers_hidden(d) for d in shortfalls}
-    assert len(forms) == 9, sorted(forms)
+    assert len(forms) == 12, sorted(forms)
     missing = sorted(form for form in forms if form not in section)
     assert not missing, f"shortfalls the README's CLI section does not quote: {missing}"

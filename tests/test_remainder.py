@@ -103,7 +103,10 @@ class TestDecayFits:
         traj = sl.evolve(sl.PairState(u1, zero, 1.0), 21.0, 0.05, sched, params)
         report = sl.remainder_decay_fit(traj)
         assert report.vacuous
-        assert report.fit is None
+        # R = 0 exactly: a series with nothing to fit
+        assert not np.any(report.sup_values)
+        with pytest.raises(ValueError, match="positive"):
+            sl.fit_rate(report.times, report.sup_values)
 
     def test_small_data_keep_their_fit(self):
         # R is cubic in the data: on quick.cfg sup|R| at t = 1 is 6.6 eps^3,
@@ -115,7 +118,7 @@ class TestDecayFits:
             schedule = sl.geometric_schedule(cfg.t_end, cfg.schedule_ratio)
             report = sl.remainder_decay_fit(sl.evolve(sl.PairState(u1, v1, 1.0), cfg.t_end, cfg.dt, schedule, params))
             assert not report.vacuous, eps
-            exponents.append(report.fit.exponent)
+            exponents.append(sl.fit_rate(report.times, report.sup_values).exponent)
         assert abs(exponents[1] - exponents[0]) <= 1e-3, exponents
 
     def test_h10_growth_flat_in_linear_case(self):

@@ -362,7 +362,10 @@ class TestEstimateLimit:
         times = np.array([1.0, 2.0, 4.0, 8.0, 16.0])
         est = sl.estimate_limit(times, [f.samples] * len(times), grid, n=1)
         assert np.array_equal(est.W.samples, f.samples)
-        assert est.fit_linf is None  # differences identically zero
+        assert not np.any(est.diff_linf)  # differences identically zero: no fit
+        early = times <= times[-1] / 4.0
+        with pytest.raises(ValueError):
+            sl.fit_rate(times[early], est.diff_linf[early])
         assert all(d == 0.0 for _, d in est.cauchy)
 
     def test_linear_case_limit_matches_initial_spectrum(self):
@@ -403,10 +406,11 @@ class TestEstimateLimit:
             assert est.diff_linf[i] == sl.norm_Linf(diff)
             assert est.diff_h0n[i] == sl.norm_H0n(diff, 1, scale=sl.norm_Linf(W))
         assert est.diff_linf[-1] == 0.0
-        early = times <= 16.0
-        assert est.fit_linf == sl.fit_rate(times[early], est.diff_linf[early])
-        assert est.fit_h0n == sl.fit_rate(times[early], est.diff_h0n[early])
-        assert est.fit_linf.window == (1.0, 16.0)
+        # the limit-rate window t <= t_max/4 leaves out the anchor's zero
+        early = times <= times[-1] / 4.0
+        assert times[early].tolist() == [1.0, 2.0, 4.0, 8.0, 16.0]
+        for series in (est.diff_linf, est.diff_h0n):
+            assert sl.fit_rate(times[early], series[early]).exponent < 0
 
     def test_cauchy_pairs_matching(self):
         grid = sl.Grid1D(L=30.0, N=128)
