@@ -131,12 +131,14 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
 
     u and v are the two rows of one (2, n) block, stepped on the calling
     thread: each step rotates the block by its swapped moduli from the
-    previous step (none before the first) into the other of two (2, n)
-    buffers, transforms it there in place along its rows, multiplies by the
-    fused linear factor and publishes the moduli.  Each row sees a
-    per-field sequential loop's operations in order, so the output (the two
-    rows of the last buffer, handed over read-only for fields to keep) is
-    bit-identical to it; the caller's arrays are only read.
+    previous step (none before the first) into the free buffer of a
+    [buffer, field] workspace, transforms it there in place along its rows,
+    multiplies by the fused linear factor and publishes the moduli.  Each
+    row sees a per-field sequential loop's operations in order, so the
+    output (two rows of the workspace, handed over read-only for fields to
+    keep) is bit-identical to it; the caller's arrays are only read.  The
+    workspace is one block: two separate buffers sit below glibc's mmap
+    threshold, and on the heap their page faults grow with its history.
     """
 
     @cache
@@ -149,20 +151,20 @@ def _step_fields(u: np.ndarray, v: np.ndarray, grid: Grid1D, steps: Sequence[flo
 
     mults = [half(steps[0]), *(fused(p, h) for p, h in zip(steps, steps[1:])), half(steps[-1])]
     n = grid.N
-    bufs = [np.empty((2, n), np.complex128) for _ in range(2)]
+    work = np.empty((2, 2, n), np.complex128)  # [buffer, field]
     angle = np.empty((2, n))
     moduli = np.empty((2, n))
-    f = bufs[0]
+    f = work[0]
     f[0], f[1] = u, v
     for k, mult in enumerate(mults):
         if k:
-            f = _rotate(f, steps[k - 1], moduli[::-1], bufs[k % 2], angle)
+            f = _rotate(f, steps[k - 1], moduli[::-1], work[k % 2], angle)
         f = fft(f, out=f)
         f *= mult
         f = ifft(f, out=f)
         if k < len(steps):
             np.square(np.abs(f, out=moduli), out=moduli)
-    f.flags.writeable = False
+    work.flags.writeable = f.flags.writeable = False
     return f[0], f[1]
 
 

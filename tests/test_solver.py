@@ -555,7 +555,7 @@ class TestSolveGrid:
             sl.evolve(sl.PairState(u1, v1, 1.0), 3.0, 0.001, [1.0, 1.5, 2.0], params)
 
     def test_segment_ends_are_wrapped_without_a_copy(self, monkeypatch):
-        # the kernel hands over its last (2, n) buffer read-only: evolve
+        # the kernel hands over its (2, 2, n) workspace read-only: evolve
         # wraps both ends of every segment as they are
         wraps = []
         read_only = sl.spectral._read_only
@@ -569,7 +569,7 @@ class TestSolveGrid:
         u1, v1 = sl.initial_pair(grid, "modulated", 0.2, 3.0, carrier=0.5)
         times = [1.0, 1.5, 2.03]
         sl.evolve(sl.PairState(u1, v1, 1.0), times[-1], 0.05, times, sl.AnalysisParams.make(epsilon=0.2))
-        ends = [kept for arr, kept in wraps if isinstance(arr.base, np.ndarray) and arr.base.ndim == 2]
+        ends = [kept for arr, kept in wraps if isinstance(arr.base, np.ndarray) and arr.base.ndim == 3]
         assert ends == [True] * 2 * (len(times) - 1)
 
     def test_prolongation_wraps_the_padded_spectrum_without_a_copy(self, monkeypatch):
